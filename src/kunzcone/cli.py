@@ -34,6 +34,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _gens(text: str) -> list[int]:
+    gens = _int_list(text)
+    if any(g < 1 for g in gens):
+        raise argparse.ArgumentTypeError(f"generators must be positive, got {text!r}")
+    return gens
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kunzcone",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_gens(p, required=True):
-        p.add_argument("--gens", type=_int_list, required=required,
+        p.add_argument("--gens", type=_gens, required=required,
                        help="generators, e.g. 4,13,18")
 
     p_info = sub.add_parser("info", help="summary of a semigroup")

@@ -37,6 +37,13 @@ class ConeFace:
     hand-built tight sets are vetted (not exhaustively, but enough to
     catch equality systems that force some recorded-strict facet) before
     subgroup or poset extraction.
+
+    Dimension, subgroup and the span test all come from one reduced
+    integer echelon of the tight equality rows.  The dimension is n-1
+    minus its rank.  A class h lies in the Kunz subgroup when the unit
+    vector e_h is in the row space, and in reduced form that holds
+    exactly when column h-1 is a pivot whose row has no other entries,
+    so the subgroup is read off the echelon without further queries.
     """
 
     def __init__(self, modulus: int, tight, trusted: bool = False):
@@ -75,19 +82,26 @@ class ConeFace:
         """Tight pairs with the symmetric duplicates removed, sorted."""
         return sorted((i, j) for i, j in self.tight if i <= j)
 
+    def _equality(self, i: int, j: int) -> dict[int, int]:
+        """Equality row of facet (i,j) over coordinates x_1..x_{n-1}, as
+        {column: coefficient} with column c standing for x_{c+1}."""
+        row = {i - 1: 1}
+        row[j - 1] = row.get(j - 1, 0) + 1
+        row[(i + j) % self.modulus - 1] = -1
+        return row
+
     def _row(self, i: int, j: int) -> list[int]:
-        """Equality row of facet (i,j) over coordinates x_1..x_{n-1}."""
+        """The equality row of facet (i,j) written out densely."""
         row = [0] * (self.modulus - 1)
-        row[i - 1] += 1
-        row[j - 1] += 1
-        row[(i + j) % self.modulus - 1] -= 1
+        for col, v in self._equality(i, j).items():
+            row[col] = v
         return row
 
     def _tight_echelon(self) -> IntegerEchelon:
         if self._echelon is None:
             ech = IntegerEchelon(self.modulus - 1)
             for i, j in self.canonical_tight():
-                ech.add(self._row(i, j))
+                ech.add(self._equality(i, j))
             self._echelon = ech
         return self._echelon
 
@@ -107,15 +121,16 @@ class ConeFace:
         n = self.modulus
         ech = self._tight_echelon()
         for i, j in _facet_pairs(n):
-            if (i, j) not in self.tight and ech.contains(self._row(i, j)):
+            if (i, j) not in self.tight and ech.contains(self._equality(i, j)):
                 raise InconsistentFace(
                     f"equalities force facet ({i},{j}) which is recorded strict"
                 )
+        by_first: dict[int, list[int]] = {}
+        for a, u in self.tight:
+            by_first.setdefault(a, []).append(u)
         for a, u in self.tight:
             b = (a + u) % n
-            for bb, v in self.tight:
-                if bb != b:
-                    continue
+            for v in by_first.get(b, ()):
                 w = (u + v) % n
                 if w == 0:
                     continue
@@ -132,15 +147,8 @@ class ConeFace:
         if self._subgroup is None:
             if not self._trusted:
                 self._check_consistency()
-            n = self.modulus
-            ech = self._tight_echelon()
-            members = [0]
-            for h in range(1, n):
-                e_h = [0] * (n - 1)
-                e_h[h - 1] = 1
-                if ech.contains(e_h):
-                    members.append(h)
-            self._subgroup = tuple(members)
+            pinned = self._tight_echelon().unit_columns()
+            self._subgroup = (0, *(col + 1 for col in pinned))
         return self._subgroup
 
     @property

@@ -1,76 +1,131 @@
-"""Fraction-free linear algebra over the rationals via integer rows.
+"""Exact linear algebra over the rationals in a sparse, reduced integer form.
 
-Everything here works on integer vectors and stays in integers: rows are
-cleared against each other by cross-multiplication and re-normalized by
-their gcd, so rank and rowspace-membership queries are exact.  The sizes
-involved (moduli up to a few dozen) make this comfortably fast without
-any external dependency.
+A row space is kept as a fully reduced echelon basis: each pivot column
+p owns one row d*x_p + sum(c_j * x_j) whose other entries sit only in
+non-pivot columns, with d > 0 and the gcd of d and the c_j equal to 1.
+Rows are stored as {column: coefficient} dicts, so a query touches only
+its own nonzero entries and the non-pivot part of the rows they hit.
+Every step is fraction-free integer arithmetic, so rank and
+rowspace-membership answers are exact.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-
-def _normalize(row: list[int]) -> list[int]:
-    """Divide by the gcd and make the leading nonzero entry positive."""
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-    if g == 0:
-        return row
-    row = [v // g for v in row]
-    for v in row:
-        if v != 0:
-            if v < 0:
-                row = [-u for u in row]
-            break
-    return row
+from collections.abc import Mapping
+from math import gcd, lcm
 
 
 class IntegerEchelon:
-    """Incremental row-echelon basis of an integer row space.
+    """Incremental reduced echelon basis of an integer row space.
 
-    Rows are kept normalized (gcd 1, positive pivot) and indexed by pivot
-    column, so adding a row and testing membership are both O(rank * n).
+    A pivot column maps to ``(d, tail)`` with ``tail`` a dict over the
+    non-pivot columns; when a new pivot appears it is eliminated from
+    every stored row.  Reducing a row therefore needs one pass over its
+    entries: each pivot entry is cleared by its row's tail and nothing
+    else, at O(nnz * (width - rank)).  Rows are accepted dense (a
+    sequence of ``width`` integers) or sparse (a mapping column ->
+    coefficient).
     """
 
     def __init__(self, width: int):
         if width < 1:
             raise ValueError("width must be positive")
         self.width = width
-        # pivot column -> normalized row with that pivot
-        self._rows: dict[int, list[int]] = {}
+        # pivot column -> (positive pivot entry, {non-pivot column: entry})
+        self._rows: dict[int, tuple[int, dict[int, int]]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, row) -> list[int]:
-        """Clear ``row`` against the stored basis; returns the residue."""
+    def _entries(self, row) -> dict[int, int]:
+        """The nonzero entries of a dense or sparse row, checked against the width."""
+        if isinstance(row, Mapping):
+            for col in row:
+                if not 0 <= col < self.width:
+                    raise ValueError(f"column {col} outside width {self.width}")
+            return {col: v for col, v in row.items() if v}
         row = list(row)
         if len(row) != self.width:
             raise ValueError(f"expected width {self.width}, got {len(row)}")
-        for col in sorted(self._rows):
-            if row[col] == 0:
-                continue
-            base = self._rows[col]
-            a, b = base[col], row[col]
-            row = [a * r - b * s for r, s in zip(row, base)]
-        return _normalize(row)
+        return {col: v for col, v in enumerate(row) if v}
+
+    def _reduce(self, row) -> dict[int, int]:
+        """Residue of ``row`` on the non-pivot columns; empty iff in the span.
+
+        The row is scaled by the least M that makes every pivot entry a
+        multiple of that pivot's d, then each pivot entry is cleared by
+        its row's tail.
+        """
+        rows = self._rows
+        residue = {}
+        hits = []
+        for col, v in self._entries(row).items():
+            if col in rows:
+                hits.append((col, v))
+            else:
+                residue[col] = v
+        if not hits:
+            return residue
+        scale = 1
+        for col, v in hits:
+            d = rows[col][0]
+            if v % d:
+                scale = lcm(scale, d // gcd(d, v))
+        if scale != 1:
+            residue = {col: scale * v for col, v in residue.items()}
+        for col, v in hits:
+            d, tail = rows[col]
+            k = scale * v // d
+            for j, w in tail.items():
+                residue[j] = residue.get(j, 0) - k * w
+        return {col: v for col, v in residue.items() if v}
 
     def add(self, row) -> bool:
         """Insert a row; True if it enlarged the span."""
         residue = self._reduce(row)
-        for col, v in enumerate(residue):
-            if v != 0:
-                self._rows[col] = residue
-                return True
-        return False
+        if not residue:
+            return False
+        # the smallest entry as pivot keeps d (and later scale factors) small
+        q = min(residue, key=lambda col: (abs(residue[col]), col))
+        d, tail = _normalized(residue.pop(q), residue)
+        rows = self._rows
+        for p, (dp, tp) in list(rows.items()):
+            c = tp.get(q)
+            if c is None:
+                continue
+            g = gcd(d, c)
+            a, b = d // g, c // g
+            merged = {j: a * w for j, w in tp.items() if j != q}
+            for j, w in tail.items():
+                merged[j] = merged.get(j, 0) - b * w
+            rows[p] = _normalized(a * dp, {j: w for j, w in merged.items() if w})
+        rows[q] = (d, tail)
+        return True
 
     def contains(self, row) -> bool:
         """Whether ``row`` lies in the rational span of the inserted rows."""
-        return all(v == 0 for v in self._reduce(row))
+        return not self._reduce(row)
+
+    def unit_columns(self) -> list[int]:
+        """Columns c whose unit vector e_c lies in the span, ascending.
+
+        In reduced form that is exactly the pivots whose row has no other
+        entry: any vector of the span is fixed by its pivot entries.
+        """
+        return sorted(col for col, (_, tail) in self._rows.items() if not tail)
+
+
+def _normalized(d: int, tail: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """Scale (d, tail) so that d > 0 and the gcd of all entries is 1."""
+    g = d
+    for v in tail.values():
+        g = gcd(g, v)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return d, tail
+    return d // g, {col: v // g for col, v in tail.items()}
 
 
 def integer_rank(rows, width: int) -> int:

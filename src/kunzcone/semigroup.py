@@ -189,6 +189,9 @@ class NumericalSemigroup:
     def coordinates(self, m: int, kind: str = APERY) -> CoordTuple:
         """Apery tuple (a_i) or Kunz tuple (z_i with a_i = m*z_i + i) mod m."""
         values = self._apery_values(m)
+        if m == 1:
+            # 1 in S means S is all of N, which has no point in any cone
+            raise NoGaps("the semigroup contains every non-negative integer")
         if kind == APERY:
             entries = values
         elif kind == KUNZ:

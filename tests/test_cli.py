@@ -179,6 +179,30 @@ class TestExitCodes:
             main(["info", "--gens", "4,x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["info", "apery", "poset", "face", "glue"])
+    @pytest.mark.parametrize("gens", ["0,5", "-3,5"])
+    def test_nonpositive_gens_is_two(self, capsys, command, gens):
+        extra = ["--alpha", "7", "--beta", "2"] if command == "glue" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--gens={gens}", *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # argparse prints the usage synopsis, then the error on one line
+        assert err.splitlines()[-1] == (
+            f"kunzcone {command}: error: argument --gens: "
+            f"generators must be positive, got {gens!r}"
+        )
+
+    @pytest.mark.parametrize("command", ["apery", "poset", "face", "glue"])
+    def test_trivial_semigroup_is_one(self, capsys, command):
+        extra = ["--alpha", "2", "--beta", "3"] if command == "glue" else []
+        code, out, err = run_cli(capsys, command, "--gens", "1", *extra)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "NoGaps: the semigroup contains every non-negative integer\n"
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

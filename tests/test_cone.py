@@ -288,3 +288,81 @@ class TestIntegerEchelon:
                 continue
             got = (m - 1) - F.dimension
             assert got == numpy.linalg.matrix_rank(numpy.array(rows, dtype=float))
+
+def _numpy_rank(numpy, rows, width):
+    if not rows:
+        return 0
+    return int(numpy.linalg.matrix_rank(numpy.array(rows, dtype=float).reshape(-1, width)))
+
+
+class TestSparseEchelon:
+    def test_add_and_contains_match_numpy(self):
+        numpy = pytest.importorskip("numpy")
+        rng = random.Random(89)
+        redundant = 0
+        for _ in range(300):
+            nrows, width = rng.randint(1, 12), rng.randint(1, 14)
+            density = rng.choice([0.2, 0.5, 1.0])
+            mat = [
+                [rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(width)]
+                for _ in range(nrows)
+            ]
+            ech = IntegerEchelon(width)
+            for k, row in enumerate(mat):
+                grew = _numpy_rank(numpy, mat[: k + 1], width) > _numpy_rank(numpy, mat[:k], width)
+                assert ech.add(row) == grew, mat
+                redundant += not grew
+            rank = _numpy_rank(numpy, mat, width)
+            assert ech.rank == rank
+            for _ in range(4):
+                coef = [rng.randint(-5, 5) for _ in mat]
+                comb = [sum(c * row[col] for c, row in zip(coef, mat)) for col in range(width)]
+                assert ech.contains(comb)
+                probe = [rng.randint(-30, 30) for _ in range(width)]
+                assert ech.contains(probe) == (_numpy_rank(numpy, mat + [probe], width) == rank)
+        assert redundant > 100
+
+    def test_sparse_rows(self):
+        ech = IntegerEchelon(4)
+        assert ech.add({0: 2, 3: -1})
+        assert not ech.add([4, 0, 0, -2])
+        assert ech.contains({0: -6, 3: 3, 1: 0})
+        assert ech.add({3: 5})
+        assert ech.unit_columns() == [0, 3]
+        with pytest.raises(ValueError):
+            ech.add({4: 1})
+        with pytest.raises(ValueError):
+            ech.contains({-1: 1})
+
+    @pytest.mark.parametrize("trusted", [True, False])
+    def test_hand_built_faces_match_numpy(self, trusted):
+        numpy = pytest.importorskip("numpy")
+        rng = random.Random(97 + trusted)
+        checked = nontrivial = 0
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            pairs = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+            tight = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+            F = ConeFace(n, tight, trusted=trusted)
+            rows = [F._row(i, j) for i, j in F.canonical_tight()]
+            rank = _numpy_rank(numpy, rows, n - 1)
+            assert F.dimension == (n - 1) - rank
+            try:
+                sub = F.kunz_subgroup
+            except InconsistentFace:
+                assert not trusted
+                continue
+            unit = numpy.eye(n - 1, dtype=int).tolist()
+            expected = (0,) + tuple(
+                h for h in range(1, n) if _numpy_rank(numpy, rows + [unit[h - 1]], n - 1) == rank
+            )
+            assert sub == expected, (n, tight)
+            checked += 1
+            nontrivial += len(sub) > 1
+        assert checked > 100 and nontrivial > 10
+
+    def test_large_modulus_regression(self):
+        for gens, dim in (([200, 201], 1), ([200, 203, 417], 2)):
+            F = face_of(NumericalSemigroup(gens).coordinates(200, APERY))
+            assert F.dimension == dim
+            assert F.kunz_subgroup == (0,)

@@ -159,6 +159,9 @@ class TestFrobenius:
     def test_no_gaps(self):
         with pytest.raises(NoGaps):
             NumericalSemigroup([1]).frobenius()
+        for kind in (APERY, KUNZ):
+            with pytest.raises(NoGaps):
+                NumericalSemigroup([1]).coordinates(1, kind)
 
 
 class TestCoordTuple:
