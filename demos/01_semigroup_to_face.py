@@ -10,7 +10,6 @@ from kunzcone import (
     apery_poset,
     face_of,
     from_kunz_tuple,
-    kunz_data,
 )
 
 S = NumericalSemigroup([4, 13, 18, 31])
@@ -37,9 +36,8 @@ F = face_of(S.coordinates(m, APERY))
 print("\nface of the group cone over Z_%d" % m)
 print("  tight facets:", F.canonical_tight())
 print("  dimension:   ", F.dimension)
-sub, Q = kunz_data(F)
-print("  Kunz subgroup:", sub)
-print("  poset matches the Apery one:", Q == P)
+print("  Kunz subgroup:", list(F.kunz_subgroup))
+print("  poset matches the Apery one:", F.kunz_poset == P)
 
 print("\nDOT source for the Hasse diagram:\n")
 print(P.to_dot())

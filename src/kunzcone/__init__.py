@@ -20,7 +20,7 @@ from .arithmetic import (
     ega_new,
     ega_rays,
 )
-from .cone import CONE, POLYHEDRON, ConeFace, apply_automorphism, face_of, kunz_data
+from .cone import CONE, POLYHEDRON, ConeFace, apply_automorphism, face_of
 from .errors import (
     AlphaIsGenerator,
     AlphaNotInS,
@@ -61,7 +61,6 @@ from .semigroup import (
     CoordTuple,
     NumericalSemigroup,
     apery_by_class,
-    from_generators,
     from_kunz_tuple,
 )
 
@@ -114,13 +113,11 @@ __all__ = [
     "extend_poset",
     "face_of",
     "factor_monoscopic",
-    "from_generators",
     "from_kunz_tuple",
     "glue",
     "glued_apery",
     "glued_poset",
     "integer_rank",
-    "kunz_data",
     "kunz_poset_of",
     "phi",
     "run_suite",

@@ -193,24 +193,24 @@ def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:
     for i, j in _facet_pairs(n):
         if kind == CONE:
             slack = x[i] + x[j] - x[(i + j) % n]
-            label = f"x_{i} + x_{j} >= x_{(i + j) % n}"
         elif i + j < n:
             slack = x[i] + x[j] - x[i + j]
-            label = f"z_{i} + z_{j} >= z_{i + j}"
         else:
             slack = x[i] + x[j] + 1 - x[i + j - n]
-            label = f"z_{i} + z_{j} + 1 >= z_{i + j - n}"
         if slack < 0:
-            raise NotInCone(f"violated: {label} at indices ({i},{j})")
+            raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
         if slack == 0:
             tight.append((i, j))
     return ConeFace(n, tight, trusted=True)
 
 
-def kunz_data(face: ConeFace) -> tuple[list[int], KunzPoset]:
-    """Kunz subgroup and Kunz poset of a face; raises InconsistentFace
-    when the face's equality system contradicts its recorded strict set."""
-    return list(face.kunz_subgroup), face.kunz_poset
+def _facet_label(kind: str, i: int, j: int, n: int) -> str:
+    """The inequality of facet (i, j) as written in NotInCone messages."""
+    if kind == CONE:
+        return f"x_{i} + x_{j} >= x_{(i + j) % n}"
+    if i + j < n:
+        return f"z_{i} + z_{j} >= z_{i + j}"
+    return f"z_{i} + z_{j} + 1 >= z_{i + j - n}"
 
 
 def apply_automorphism(obj, u: int):

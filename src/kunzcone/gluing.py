@@ -27,20 +27,6 @@ from .errors import (
 from .poset import KunzPoset, kunz_poset_of, subgroup_of
 from .semigroup import APERY, CoordTuple, NumericalSemigroup
 
-__all__ = [
-    "GluingSpec",
-    "EmbeddingSpec",
-    "glue",
-    "glued_apery",
-    "glued_poset",
-    "phi",
-    "beta_ray",
-    "extend_poset",
-    "verify_face_image",
-    "factor_monoscopic",
-]
-
-
 @dataclass(frozen=True)
 class GluingSpec:
     """Data of a gluing: base semigroup S, alpha in S (not a minimal

@@ -4,12 +4,27 @@ A KunzPoset lives on the quotient Z_n / H for a subgroup H (trivial for
 posets built from semigroups).  The relation is stored densely as one
 bitmask per ground element, which keeps closure and reduction exact and
 fast at the sizes that occur here (n up to a few hundred).
+
+Construction validates the order in one walk over the set bits of each
+row: every strict relation a -> b is checked for antisymmetry,
+transitivity and difference closure, and recorded in the down-sets, so
+the cost is O(relations) rather than O(size^2) per check.  Heights are
+computed iteratively along a linear extension, so long chains need no
+recursion.
 """
 
 from __future__ import annotations
 
 from .errors import NotGraded
 from .semigroup import APERY, NumericalSemigroup
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def subgroup_of(modulus: int, elements) -> tuple[int, ...]:
@@ -58,52 +73,39 @@ class KunzPoset:
         # canonical representative (coset minimum) for every class
         rep = [min((x + h) % modulus for h in sub) for x in range(modulus)]
         self._rep = rep
-        self.ground = tuple(sorted(set(rep)))
-        self._index = {g: i for i, g in enumerate(self.ground)}
-        size = len(self.ground)
+        ground = self.ground = tuple(sorted(set(rep)))
+        index = self._index = {g: i for i, g in enumerate(ground)}
+        size = len(ground)
 
         up = [1 << i for i in range(size)]
-        for i in range(1, size):
-            up[0] |= 1 << i
+        up[0] = (1 << size) - 1
         for a, b in pairs:
-            up[self._index[rep[a % modulus]]] |= 1 << self._index[rep[b % modulus]]
+            up[index[rep[a % modulus]]] |= 1 << index[rep[b % modulus]]
         self._up = up
 
-        for i in range(size):
-            for j in range(i + 1, size):
-                if (up[i] >> j) & 1 and (up[j] >> i) & 1:
+        down = [0] * size
+        for i, row in enumerate(up):
+            for j in _bits(row):
+                down[j] |= 1 << i
+                if j == i:
+                    continue
+                if up[j] >> i & 1:
                     raise ValueError(
-                        f"antisymmetry fails between classes {self.ground[i]} and {self.ground[j]}"
+                        f"antisymmetry fails between classes {ground[i]} and {ground[j]}"
                     )
-        for i in range(size):
-            mask = up[i]
-            j = 0
-            m = mask
-            while m:
-                if m & 1 and up[j] & ~mask:
-                    raise ValueError(f"relation is not transitive at class {self.ground[i]}")
-                m >>= 1
-                j += 1
-        for i in range(size):
-            for j in range(size):
-                if i != j and (up[i] >> j) & 1:
-                    diff = self._index[rep[(self.ground[j] - self.ground[i]) % modulus]]
-                    if not (up[diff] >> j) & 1:
-                        raise ValueError(
-                            f"difference closure fails: {self.ground[i]} precedes "
-                            f"{self.ground[j]} but their difference class does not"
-                        )
-
-        self._down = [0] * size
-        for i in range(size):
-            for j in range(size):
-                if (up[i] >> j) & 1:
-                    self._down[j] |= 1 << i
+                if up[j] & ~row:
+                    raise ValueError(f"relation is not transitive at class {ground[i]}")
+                if not up[index[rep[(ground[j] - ground[i]) % modulus]]] >> j & 1:
+                    raise ValueError(
+                        f"difference closure fails: {ground[i]} precedes "
+                        f"{ground[j]} but their difference class does not"
+                    )
+        self._down = down
 
         if labels is None:
             self.labels = None
         else:
-            self.labels = tuple(int(labels[g]) for g in self.ground)
+            self.labels = tuple(int(labels[g]) for g in ground)
 
     # -- queries ---------------------------------------------------------
 
@@ -116,66 +118,57 @@ class KunzPoset:
 
     def relations(self) -> list[tuple[int, int]]:
         """All strict pairs (a, b) with a before b, sorted."""
-        out = []
-        for i, g in enumerate(self.ground):
-            for j, h in enumerate(self.ground):
-                if i != j and (self._up[i] >> j) & 1:
-                    out.append((g, h))
-        return sorted(out)
+        ground = self.ground
+        return [
+            (g, ground[j])
+            for i, g in enumerate(ground)
+            for j in _bits(self._up[i] & ~(1 << i))
+        ]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Transitive reduction: pairs (a, b) with b immediately above a."""
-        size = len(self.ground)
+        """Transitive reduction: pairs (a, b) with b immediately above a, sorted."""
+        ground, down = self.ground, self._down
         out = []
-        for i in range(size):
+        for i, g in enumerate(ground):
             strict_up = self._up[i] & ~(1 << i)
-            for j in range(size):
-                if (strict_up >> j) & 1:
-                    between = strict_up & self._down[j] & ~(1 << j)
-                    if between == 0:
-                        out.append((self.ground[i], self.ground[j]))
-        return sorted(out)
+            for j in _bits(strict_up):
+                if not strict_up & down[j] & ~(1 << j):
+                    out.append((g, ground[j]))
+        return out
 
     def atoms(self) -> list[int]:
         """Elements covering the bottom class."""
         return sorted(b for a, b in self.covers() if a == self.ground[0])
 
-    def _height_list(self) -> list[int]:
-        size = len(self.ground)
-        h = [None] * size
+    def _grading(self, covers):
+        """Height of each ground index (length of the longest chain from
+        the bottom) and the first of ``covers`` that skips a level, or None.
 
-        def height(i):
-            if h[i] is None:
-                below = self._down[i] & ~(1 << i)
-                h[i] = 0
-                j = 0
-                m = below
-                while m:
-                    if m & 1:
-                        h[i] = max(h[i], height(j) + 1)
-                    m >>= 1
-                    j += 1
-            return h[i]
-
-        for i in range(size):
-            height(i)
-        return h
+        A strictly lower element has a strictly smaller down-set, so
+        visiting indices by down-set size is a linear extension and every
+        element below has its height before it is needed.
+        """
+        down = self._down
+        h = [0] * len(down)
+        for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+            h[i] = max((h[j] + 1 for j in _bits(down[i] & ~(1 << i))), default=0)
+        index = self._index
+        skip = next(
+            ((a, b) for a, b in covers if h[index[b]] != h[index[a]] + 1), None
+        )
+        return h, skip
 
     def is_graded(self) -> bool:
-        h = self._height_list()
-        return all(
-            h[self._index[b]] == h[self._index[a]] + 1 for a, b in self.covers()
-        )
+        return self._grading(self.covers())[1] is None
 
     def heights(self) -> dict[int, int]:
         """Rank of each ground element; only defined for graded posets."""
-        h = self._height_list()
-        for a, b in self.covers():
-            if h[self._index[b]] != h[self._index[a]] + 1:
-                raise NotGraded(
-                    f"cover {a} -> {b} skips a level; no consistent rank function"
-                )
-        return {g: h[i] for i, g in enumerate(self.ground)}
+        h, skip = self._grading(self.covers())
+        if skip is not None:
+            raise NotGraded(
+                f"cover {skip[0]} -> {skip[1]} skips a level; no consistent rank function"
+            )
+        return dict(zip(self.ground, h))
 
     # -- identity --------------------------------------------------------
 
@@ -216,21 +209,23 @@ class KunzPoset:
                 lines.append(f'  n{g} [label="{g}\\n{self.labels[i]}"];')
             else:
                 lines.append(f'  n{g} [label="{g}"];')
-        for a, b in self.covers():
+        covers = self.covers()
+        for a, b in covers:
             lines.append(f"  n{a} -> n{b};")
-        if self.is_graded():
+        h, skip = self._grading(covers)
+        if skip is None:
             by_height: dict[int, list[int]] = {}
-            for g, h in self.heights().items():
-                by_height.setdefault(h, []).append(g)
-            for h in sorted(by_height):
-                row = "; ".join(f"n{g}" for g in sorted(by_height[h]))
+            for g, level in zip(self.ground, h):
+                by_height.setdefault(level, []).append(g)
+            for level in sorted(by_height):
+                row = "; ".join(f"n{g}" for g in by_height[level])
                 lines.append(f"  {{ rank=same; {row}; }}")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
-    """Divisibility order on Ap(S; m), labelled by the Apery values.
+def _apery_order(S: NumericalSemigroup, m: int):
+    """Apery values of S mod m and the pairs of their divisibility order.
 
     i precedes j exactly when a_j - a_i is itself an Apery element, which
     for elements of one class pins it to the class minimum a_{j-i}.
@@ -242,16 +237,15 @@ def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
         for j in range(m)
         if values[j] - values[i] == values[(j - i) % m]
     ]
-    return KunzPoset(m, pairs, labels={i: values[i] for i in range(m)})
+    return values, pairs
+
+
+def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
+    """Divisibility order on Ap(S; m), labelled by the Apery values."""
+    values, pairs = _apery_order(S, m)
+    return KunzPoset(m, pairs, labels=values)
 
 
 def kunz_poset_of(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Same order as apery_poset, with ground elements as plain classes."""
-    values = S.coordinates(m, APERY).entries
-    pairs = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if values[j] - values[i] == values[(j - i) % m]
-    ]
-    return KunzPoset(m, pairs)
+    return KunzPoset(m, _apery_order(S, m)[1])

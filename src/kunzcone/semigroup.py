@@ -133,10 +133,9 @@ class NumericalSemigroup:
             g = gcd(g, v)
         if g != 1:
             raise NotCofinite(f"generators {gens} share the common divisor {g}")
-        object.__setattr__(self, "generators", tuple(_minimalize(gens)))
-        object.__setattr__(
-            self, "_apery_mult", tuple(apery_by_class(self.generators, self.generators[0]))
-        )
+        minimal, apery = _minimalize(gens)
+        object.__setattr__(self, "generators", tuple(minimal))
+        object.__setattr__(self, "_apery_mult", tuple(apery))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -204,8 +203,10 @@ class NumericalSemigroup:
         return {"generators": list(self.generators)}
 
 
-def _minimalize(gens: list[int]) -> list[int]:
-    """Keep exactly the minimal generators of <gens>.
+def _minimalize(gens: list[int]) -> tuple[list[int], list[int]]:
+    """Keep exactly the minimal generators of <gens>; also return the
+    Apery table mod the multiplicity gens[0], which the generating set
+    does not change.
 
     g is redundant iff g = s + s' with s, s' nonzero elements of the full
     semigroup; it suffices to try, for each class c, the least nonzero
@@ -224,12 +225,7 @@ def _minimalize(gens: list[int]) -> list[int]:
                 break
         if not redundant:
             out.append(g)
-    return out
-
-
-def from_generators(generators) -> NumericalSemigroup:
-    """Build the numerical semigroup generated by the given positive integers."""
-    return NumericalSemigroup(generators)
+    return out, dist
 
 
 def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:

@@ -19,7 +19,7 @@ from .arithmetic import (
     ega_kunz_poset,
     ega_rays,
 )
-from .cone import apply_automorphism, face_of, kunz_data
+from .cone import apply_automorphism, face_of
 from .errors import DomainError, InvalidParams
 from .gluing import (
     EmbeddingSpec,
@@ -100,9 +100,8 @@ def suite_roundtrip(seed: int, max_m: int = 15, count: int = 200) -> dict:
         if from_kunz_tuple(m, S.coordinates(m, KUNZ)) != S:
             failures.append(f"kunz round trip {S}")
         face = face_of(S.coordinates(m, APERY))
-        sub, poset = kunz_data(face)
         checks += 1
-        if sub != [0] or poset != kunz_poset_of(S, m):
+        if face.kunz_subgroup != (0,) or face.kunz_poset != kunz_poset_of(S, m):
             failures.append(f"face data of {S}")
         units = [u for u in range(1, m) if gcd(u, m) == 1]
         u = rng.choice(units)

@@ -138,3 +138,38 @@ def transitive_closure_of_covers(covers, ground, bottom):
                 above[a] |= extra
                 changed = True
     return sorted((a, b) for a in ground for b in above[a])
+
+
+def kunz_relation(n, pairs, subgroup):
+    """Reflexive-bottom closure of ``pairs`` on Z_n / H as a set of class pairs.
+
+    Each class is named by its least member; every class gets the pairs
+    (c, c) and (0, c).  No transitive closure is taken.
+    """
+    members = {h % n for h in subgroup} | {0}
+
+    def cls(x):
+        return min((x + h) % n for h in members)
+
+    ground = sorted({cls(x) for x in range(n)})
+    rel = {(c, c) for c in ground} | {(0, c) for c in ground}
+    rel |= {(cls(a), cls(b)) for a, b in pairs}
+    return ground, rel, cls
+
+
+def is_kunz_order(n, pairs, subgroup):
+    """True when the reflexive-bottom closure of ``pairs`` on Z_n / H is
+    antisymmetric, transitive and difference-closed (a before b forces
+    b - a before b), each tested by exhaustive loops over classes."""
+    ground, rel, cls = kunz_relation(n, pairs, subgroup)
+    for a, b in rel:
+        if a != b and (b, a) in rel:
+            return False
+    for a, b in rel:
+        for c in ground:
+            if (b, c) in rel and (a, c) not in rel:
+                return False
+    for a, b in rel:
+        if (cls(b - a), b) not in rel:
+            return False
+    return True

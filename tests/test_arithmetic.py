@@ -20,7 +20,6 @@ from kunzcone import (
     ega_new,
     ega_rays,
     face_of,
-    kunz_data,
     kunz_poset_of,
 )
 from oracles import dp_frobenius, dp_members, is_chain
@@ -198,21 +197,21 @@ class TestRays:
         for args in [(13, 1, 4, 1), (13, 1, 4, 5), (11, 2, 5, -2), (9, 1, 5, 2)]:
             p, _ = ega_new(*args)
             r, _ = ega_rays(p)
-            _, P = kunz_data(face_of(r))
+            P = face_of(r).kunz_poset
             assert is_chain(P), args
             assert P.atoms() == [p.d % p.a], args
 
     def test_t_chain_when_k_divides_a_minus_1(self):
         p, _ = ega_new(13, 1, 4, 1)
         _, t = ega_rays(p)
-        _, P = kunz_data(face_of(t))
+        P = face_of(t).kunz_poset
         assert is_chain(P)
         assert P.atoms() == [4]   # k*d
 
     def test_t_not_chain_in_general(self):
         p, _ = ega_new(16, 1, 6, 7)
         _, t = ega_rays(p)
-        _, P = kunz_data(face_of(t))
+        P = face_of(t).kunz_poset
         assert not is_chain(P)
         assert P.atoms() == [3, 5, 10, 12]
 
@@ -220,8 +219,7 @@ class TestRays:
         p, _ = ega_new(12, 1, 4, 1)
         _, t = ega_rays(p)
         assert t.entries == (0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1)
-        sub, _ = kunz_data(face_of(t))
-        assert sub == [0, 4, 8]
+        assert face_of(t).kunz_subgroup == (0, 4, 8)
 
     def test_rays_sharpen_the_face(self):
         for args in [(13, 1, 4, 1), (16, 1, 6, 7), (11, 2, 5, -2)]:

@@ -20,7 +20,6 @@ from kunzcone import (
     apply_automorphism,
     face_of,
     integer_rank,
-    kunz_data,
     kunz_poset_of,
 )
 from oracles import random_gens
@@ -115,8 +114,8 @@ class TestKunzData:
     def test_nontrivial_subgroup(self):
         # genuine face: the ray through (t, 0, t) in C(Z_4)
         F = ConeFace(4, [(1, 2), (2, 3)])
-        sub, P = kunz_data(F)
-        assert sub == [0, 2]
+        P = F.kunz_poset
+        assert F.kunz_subgroup == (0, 2)
         assert F.dimension == 1
         assert P.ground == (0, 1)
         assert P.relations() == [(0, 1)]
@@ -131,8 +130,9 @@ class TestKunzData:
             done += 1
             S = NumericalSemigroup(gens)
             m = S.multiplicity
-            sub, P = kunz_data(face_of(S.coordinates(m, APERY)))
-            assert sub == [0]
+            F = face_of(S.coordinates(m, APERY))
+            P = F.kunz_poset
+            assert F.kunz_subgroup == (0,)
             assert P == kunz_poset_of(S, m)
 
     def test_inconsistent_by_rowspace(self):
@@ -140,19 +140,19 @@ class TestKunzData:
         # yet facet (3,3) is recorded strict
         F = ConeFace(4, [(1, 1), (1, 2), (2, 3)])
         with pytest.raises(InconsistentFace):
-            kunz_data(F)
+            F.kunz_poset
 
     def test_inconsistent_by_chaining(self):
         # 2x1 = x2 and 2x2 = x4 squeeze x1 + x2 >= x3 and x1 + x3 >= x4
         # into equalities, neither recorded
         F = ConeFace(8, [(1, 1), (2, 2)])
         with pytest.raises(InconsistentFace):
-            kunz_data(F)
+            F.kunz_poset
 
     def test_inconsistent_short_cycle(self):
         F = ConeFace(5, [(1, 1), (2, 4)])
         with pytest.raises(InconsistentFace):
-            kunz_data(F)
+            F.kunz_poset
 
     def test_trusted_faces_skip_vetting(self):
         # the trusted flag is for faces located from an actual point;

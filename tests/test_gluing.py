@@ -25,7 +25,6 @@ from kunzcone import (
     glue,
     glued_apery,
     glued_poset,
-    kunz_data,
     kunz_poset_of,
     phi,
     verify_face_image,
@@ -230,8 +229,7 @@ class TestBetaRay:
 
     def test_face_subgroup(self):
         spec = EmbeddingSpec(12, 3, 7)
-        sub, _ = kunz_data(face_of(beta_ray(spec)))
-        assert sub == [0, 3, 6, 9]
+        assert face_of(beta_ray(spec)).kunz_subgroup == (0, 3, 6, 9)
 
 
 class TestExtendPoset:

@@ -10,7 +10,14 @@ from kunzcone import (
     kunz_poset_of,
     subgroup_of,
 )
-from oracles import dp_poset_relations, random_gens, transitive_closure_of_covers
+from kunzcone.cli import main
+from oracles import (
+    dp_poset_relations,
+    is_kunz_order,
+    kunz_relation,
+    random_gens,
+    transitive_closure_of_covers,
+)
 
 
 @pytest.fixture
@@ -127,6 +134,44 @@ class TestConstructorValidation:
         P = KunzPoset(3, [(4, 5)])
         assert P.leq(1, 2)
         assert P.relations() == [(0, 1), (0, 2), (1, 2)]
+
+
+class TestConstructorAgainstOracle:
+    def test_random_pair_sets(self):
+        # few pairs are often Kunz orders, many rarely; both outcomes occur
+        rng = random.Random(61)
+        accepted = rejected = 0
+        for _ in range(2000):
+            n = rng.randint(2, 9)
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            subgroup = range(0, n, d)
+            pairs = [
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+            ]
+            if is_kunz_order(n, pairs, subgroup):
+                accepted += 1
+                _, rel, _ = kunz_relation(n, pairs, subgroup)
+                P = KunzPoset(n, pairs, subgroup=subgroup)
+                assert P.relations() == sorted((a, b) for a, b in rel if a != b)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    KunzPoset(n, pairs, subgroup=subgroup)
+        assert accepted > 300 and rejected > 300
+
+
+class TestLongChain:
+    # <1000, 1999>: class c holds (-c mod 1000) * 1999, so the poset is the
+    # chain 0 < 999 < 998 < ... < 1, deeper than the recursion limit
+    def test_heights_along_chain(self):
+        P = apery_poset(NumericalSemigroup([1000, 1999]), 1000)
+        assert P.is_graded()
+        assert P.heights() == {c: -c % 1000 for c in range(1000)}
+
+    def test_cli_dot(self, capsys):
+        assert main(["poset", "--gens", "1000,1999", "--dot"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("rank=same") == 1000
 
 
 class TestNotGraded:

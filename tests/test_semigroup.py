@@ -14,7 +14,6 @@ from kunzcone import (
     NotInPolyhedron,
     NumericalSemigroup,
     apery_by_class,
-    from_generators,
     from_kunz_tuple,
 )
 from oracles import (
@@ -71,9 +70,6 @@ class TestConstruction:
         S = NumericalSemigroup([4, 13, 18])
         with pytest.raises(AttributeError):
             S.generators = (2, 3)
-
-    def test_from_generators_alias(self):
-        assert from_generators([4, 13, 18]) == NumericalSemigroup([4, 13, 18])
 
     def test_basic_properties(self):
         S = NumericalSemigroup([4, 13, 18])
