@@ -24,6 +24,7 @@ from .cone import CONE, POLYHEDRON, ConeFace, apply_automorphism, face_of
 from .errors import (
     AlphaIsGenerator,
     AlphaNotInS,
+    CheckFailed,
     DomainError,
     EmptyGenerators,
     InconsistentFace,
@@ -73,6 +74,7 @@ __all__ = [
     "POLYHEDRON",
     "AlphaIsGenerator",
     "AlphaNotInS",
+    "CheckFailed",
     "ConeFace",
     "CoordTuple",
     "DomainError",

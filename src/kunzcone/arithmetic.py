@@ -15,7 +15,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .cone import apply_automorphism, face_of
-from .errors import InvalidParams, OutOfRegime
+from .errors import CheckFailed, InvalidParams, OutOfRegime
 from .poset import KunzPoset
 from .semigroup import APERY, CoordTuple, NumericalSemigroup
 
@@ -25,7 +25,9 @@ class EgaParams:
     """Parameters (a, h, k, d) with gcd(a,d)=1 and ah+kd > a.
 
     The last condition keeps a the multiplicity and the generating set
-    minimal; d may be negative (the generator run then descends).
+    minimal; d may be negative (the generator run then descends).  The
+    inverse of d mod a is computed once here for ``ega_contains``; it is
+    not a field, so it takes no part in repr, equality or hashing.
     """
 
     a: int
@@ -49,6 +51,7 @@ class EgaParams:
         for i in range(1, self.k + 1):
             if self.a * self.h + i * self.d <= 0:
                 raise InvalidParams(f"generator ah + {i}d is not positive")
+        object.__setattr__(self, "_d_inv", pow(self.d, -1, self.a))
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -77,7 +80,8 @@ def ega_new(a: int, h: int, k: int, d: int) -> tuple[EgaParams, NumericalSemigro
     """
     params = EgaParams(a, h, k, d)
     S = NumericalSemigroup(params.generators)
-    assert S.multiplicity == a, "a must be the multiplicity"
+    if S.multiplicity != a:
+        raise CheckFailed(f"{params} generates {S}, whose multiplicity is not a")
     return params, S
 
 
@@ -90,9 +94,10 @@ def ega_contains(p: EgaParams, n: int) -> bool:
     """Closed-form membership: with r in [0, a-1] such that r*d = n mod a
     and q = (n - r*d)/a, n lies in the semigroup iff q >= 0 and
     ceil(r/k)*h <= q."""
-    r = n * pow(p.d, -1, p.a) % p.a
-    q = (n - r * p.d) // p.a
-    return q >= 0 and _ceil_div(r, p.k) * p.h <= q
+    a = p.a
+    r = n * p._d_inv % a
+    q = (n - r * p.d) // a
+    return q >= 0 and -(-r // p.k) * p.h <= q
 
 
 def ega_apery_grid(p: EgaParams) -> list[tuple[GridCoord, int]]:
@@ -107,14 +112,14 @@ def ega_apery_grid(p: EgaParams) -> list[tuple[GridCoord, int]]:
     q, r = divmod(a - 1, k)
     spots = [GridCoord(x, y) for x in range(1, q + 1) for y in range(1, k + 1)]
     spots += [GridCoord(q + 1, y) for y in range(1, r + 1)]
-    d_inv = pow(d, -1, a)
     out = []
     for spot in spots:
         m = (spot.x - 1) * k + spot.y
         value = spot.x * a * h + m * d
-        rr = value * d_inv % a
+        rr = value * p._d_inv % a
         qq = (value - rr * d) // a
-        assert rr == m % a and qq == _ceil_div(rr, k) * h >= 0, "not an Apery element"
+        if not (rr == m % a and qq == _ceil_div(rr, k) * h >= 0):
+            raise CheckFailed(f"grid value {value} at {spot} of {p} is not an Apery element")
         out.append((spot, value))
     return out
 
@@ -191,7 +196,8 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     a, k = p.a, p.k
     if not 1 < k < a - 2:
         raise OutOfRegime(f"rays are defined for 1 < k < a - 2, got k={k}, a={a}")
-    if not ega_is_minimal(p):
+    S = NumericalSemigroup(p.generators)
+    if S.generators != tuple(sorted(p.generators)):
         raise OutOfRegime("presented generators are not minimal; the semigroup lies on a smaller face")
     fl = a // k
     r_base = CoordTuple(a, APERY, tuple(range(a)))
@@ -204,12 +210,12 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     r = _primitive(apply_automorphism(r_base, u))
     t = _primitive(apply_automorphism(t_base, u))
 
-    S = NumericalSemigroup(p.generators)
     face = face_of(S.coordinates(a, APERY))
-    for ray in (r, t):
-        sub = face_of(ray)
-        assert face.tight < sub.tight, "ray must sharpen the face's tight set"
-    assert r.entries != t.entries, "rays must be independent"
+    for name, ray in (("r", r), ("t", t)):
+        if not face.tight < face_of(ray).tight:
+            raise CheckFailed(f"ray {name} of {p} does not sharpen the face's tight set")
+    if r.entries == t.entries:
+        raise CheckFailed(f"rays of {p} are not independent")
     return r, t
 
 

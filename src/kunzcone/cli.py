@@ -220,9 +220,24 @@ _COMMANDS = {
 }
 
 
+def _join_gens(argv: list[str]) -> list[str]:
+    """Rewrite ``--gens -3,5`` as ``--gens=-3,5``.
+
+    argparse takes a value that starts with '-' and is not a plain
+    negative number for a flag, so ``_gens`` would never see it.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--gens" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--gens={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_gens(sys.argv[1:] if argv is None else argv))
     code = 0
     try:
         if args.command == "verify":

@@ -189,18 +189,25 @@ def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:
     if kind not in (CONE, POLYHEDRON):
         raise ValueError(f"kind must be {CONE!r} or {POLYHEDRON!r}")
     n = x.modulus
+    e = x.entries
+    # the two families differ only by the +1 on facets with i + j > n
+    wrap = 0 if kind == CONE else 1
     tight = []
-    for i, j in _facet_pairs(n):
-        if kind == CONE:
-            slack = x[i] + x[j] - x[(i + j) % n]
-        elif i + j < n:
-            slack = x[i] + x[j] - x[i + j]
-        else:
-            slack = x[i] + x[j] + 1 - x[i + j - n]
-        if slack < 0:
-            raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
-        if slack == 0:
-            tight.append((i, j))
+    # facets (i, j) in _facet_pairs order: i + j < n, then i + j > n
+    for i in range(1, n):
+        xi = e[i]
+        for j in range(i, n - i):
+            slack = xi + e[j] - e[i + j]
+            if slack <= 0:
+                if slack < 0:
+                    raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
+                tight.append((i, j))
+        for j in range(max(i, n - i + 1), n):
+            slack = xi + e[j] + wrap - e[i + j - n]
+            if slack <= 0:
+                if slack < 0:
+                    raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
+                tight.append((i, j))
     return ConeFace(n, tight, trusted=True)
 
 

@@ -55,6 +55,10 @@ class OutOfRegime(DomainError):
     """The requested closed form only exists for other parameter ranges."""
 
 
+class CheckFailed(DomainError):
+    """A closed form disagreed with the structural check or oracle run on it."""
+
+
 class AlphaIsGenerator(DomainError):
     """The gluing element must not be a minimal generator."""
 

@@ -19,6 +19,7 @@ from .cone import face_of
 from .errors import (
     AlphaIsGenerator,
     AlphaNotInS,
+    CheckFailed,
     InvalidParams,
     InvalidQuotient,
     NotCoprime,
@@ -51,7 +52,8 @@ def glue(spec: GluingSpec) -> NumericalSemigroup:
     """The glued semigroup <alpha, beta*n_1, ..., beta*n_k>."""
     gens = [spec.alpha] + [spec.beta * g for g in spec.base.generators]
     T = NumericalSemigroup(gens)
-    assert T.generators == tuple(sorted(gens)), "glued generating set not minimal"
+    if T.generators != tuple(sorted(gens)):
+        raise CheckFailed(f"glued generating set {sorted(gens)} of {spec} is not minimal")
     return T
 
 
@@ -66,7 +68,8 @@ def _glued_values(spec: GluingSpec) -> dict[int, tuple[int, int, int]]:
         for a in ap:
             v = b * alpha + a * beta
             table[v % n] = (v, b, a)
-    assert len(table) == n, "glued Apery classes collide"
+    if len(table) != n:
+        raise CheckFailed(f"glued Apery classes of {spec} collide")
     return table
 
 
@@ -74,9 +77,8 @@ def glued_apery(spec: GluingSpec) -> list[int]:
     """Ap(T; beta*m) = {b*alpha + a*beta}, cross-checked against the oracle."""
     values = sorted(v for v, _, _ in _glued_values(spec).values())
     T = glue(spec)
-    assert values == T.apery_set(spec.beta * spec.base.multiplicity), (
-        "closed-form Apery set disagrees with the oracle"
-    )
+    if values != T.apery_set(spec.beta * spec.base.multiplicity):
+        raise CheckFailed(f"closed-form Apery set of {spec} disagrees with the oracle")
     return values
 
 
@@ -105,9 +107,8 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
             if b1 <= b2 or (alpha_in_ap and S.contains(diff - alpha)):
                 pairs.append((c1, c2))
     P = KunzPoset(n, pairs, labels=labels)
-    assert P == kunz_poset_of(glue(spec), n), (
-        "closed-form poset disagrees with the oracle"
-    )
+    if P != kunz_poset_of(glue(spec), n):
+        raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
     return P
 
 

@@ -165,7 +165,8 @@ class NumericalSemigroup:
         smallest element of S in its residue class mod the multiplicity."""
         if n < 0:
             return False
-        return n >= self._apery_mult[n % self.multiplicity]
+        table = self._apery_mult
+        return n >= table[n % len(table)]
 
     def _apery_values(self, m: int) -> list[int]:
         """Least element per class mod m, indexed by residue; m must be in S."""
@@ -235,6 +236,12 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     and z_i + z_j + 1 >= z_{i+j-m} (i + j > m), plus non-negativity, which
     the inequalities already force for m >= 3 but not in the degenerate
     m = 2 case where the facet list is empty.
+
+    The same facet scan also finds the generators.  With a_s = m*z_s + s,
+    a facet that holds with equality says a_i + a_j = a_s for its target
+    class s, so a_s is a sum of two smaller elements and cannot be a
+    minimal generator.  Only m and the a_s of the other classes go to
+    ``NumericalSemigroup``, which still minimalizes them.
     """
     if isinstance(entries, CoordTuple):
         if entries.kind != KUNZ:
@@ -259,21 +266,28 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     for i in range(1, m):
         if full[i] < 0:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")
+    # facets (i, j) with i <= j in scan order: targets i + j < m, then i + j > m
+    summed = [False] * m
     for i in range(1, m):
-        for j in range(i, m):
+        zi = full[i]
+        for j in range(i, m - i):
             s = i + j
-            if s == m:
-                continue
-            if s < m:
-                if full[i] + full[j] < full[s]:
+            lhs = zi + full[j]
+            if lhs <= full[s]:
+                if lhs < full[s]:
                     raise NotInPolyhedron(
-                        f"z_{i} + z_{j} >= z_{s} fails: {full[i]} + {full[j]} < {full[s]}"
+                        f"z_{i} + z_{j} >= z_{s} fails: {zi} + {full[j]} < {full[s]}"
                     )
-            else:
-                if full[i] + full[j] + 1 < full[s - m]:
+                summed[s] = True
+        for j in range(max(i, m - i + 1), m):
+            s = i + j - m
+            lhs = zi + full[j] + 1
+            if lhs <= full[s]:
+                if lhs < full[s]:
                     raise NotInPolyhedron(
-                        f"z_{i} + z_{j} + 1 >= z_{s - m} fails: "
-                        f"{full[i]} + {full[j]} + 1 < {full[s - m]}"
+                        f"z_{i} + z_{j} + 1 >= z_{s} fails: "
+                        f"{zi} + {full[j]} + 1 < {full[s]}"
                     )
-    gens = [m] + [m * full[i] + i for i in range(1, m)]
+                summed[s] = True
+    gens = [m] + [m * full[s] + s for s in range(1, m) if not summed[s]]
     return NumericalSemigroup(gens)

@@ -20,7 +20,7 @@ from .arithmetic import (
     ega_rays,
 )
 from .cone import apply_automorphism, face_of
-from .errors import DomainError, InvalidParams
+from .errors import CheckFailed, DomainError, InvalidParams
 from .gluing import (
     EmbeddingSpec,
     GluingSpec,
@@ -140,7 +140,7 @@ def suite_ega(seed: int, max_m: int = 12, max_h: int = 2) -> dict:
             checks += 1
             try:
                 ega_rays(p)
-            except AssertionError:
+            except CheckFailed:
                 failures.append(f"rays {tag}")
     return _report("ega", seed, checks, failures)
 
@@ -168,7 +168,7 @@ def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5, bases: int = 12)
                 try:
                     glued_apery(spec)
                     P = glued_poset(spec)
-                except AssertionError:
+                except CheckFailed:
                     failures.append(f"gluing closed form {tag}")
                     continue
                 emb = EmbeddingSpec(n, beta, alpha % n)

@@ -268,8 +268,16 @@ class TestNonMinimalPresentation:
         assert set(formula.relations()) < set(actual.relations())
 
     def test_rays_refuse(self):
-        with pytest.raises(OutOfRegime):
+        # 1 < k < a - 2, so only the minimality test can refuse
+        with pytest.raises(OutOfRegime, match="presented generators are not minimal"):
             ega_rays(EgaParams(10, 3, 6, -3))
+
+    def test_cached_inverse_is_not_a_field(self):
+        p = EgaParams(5, 3, 3, -3)
+        assert repr(p) == "EgaParams(a=5, h=3, k=3, d=-3)"
+        assert p == EgaParams(5, 3, 3, -3)
+        assert hash(p) == hash((5, 3, 3, -3))
+        assert p != EgaParams(5, 4, 3, -3)
 
 
 class TestDetect:

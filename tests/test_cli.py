@@ -194,6 +194,18 @@ class TestExitCodes:
             f"generators must be positive, got {gens!r}"
         )
 
+    @pytest.mark.parametrize("command", ["info", "apery", "poset", "face", "glue", "ega"])
+    def test_negative_gens_as_separate_token_is_two(self, capsys, command):
+        # "-3,5" after --gens must reach the generator check, not be read as a flag
+        extra = ["--alpha", "7", "--beta", "2"] if command == "glue" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gens", "-3,5", *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"kunzcone {command}: error: argument --gens: "
+            "generators must be positive, got '-3,5'"
+        )
+
     @pytest.mark.parametrize("command", ["apery", "poset", "face", "glue"])
     def test_trivial_semigroup_is_one(self, capsys, command):
         extra = ["--alpha", "2", "--beta", "3"] if command == "glue" else []

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,44 @@ class TestGluedApery:
             T = glue(spec)
             n = beta * S.multiplicity
             assert glued_apery(spec) == sorted(dp_apery(list(T.generators), n))
+
+    def test_oracle_check_survives_optimize(self):
+        # python -O strips assert statements; the oracle check must still fire
+        script = """
+import sys
+import kunzcone.gluing as gluing
+from kunzcone import CheckFailed, GluingSpec, NumericalSemigroup
+
+assert False, "asserts are live"
+real = gluing._glued_values
+
+def corrupted(spec):
+    table = dict(real(spec))
+    v, b, a = table[1]
+    table[1] = (v + spec.beta * spec.base.multiplicity, b, a)
+    return table
+
+gluing._glued_values = corrupted
+try:
+    gluing.glued_apery(GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3))
+except CheckFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "closed-form Apery set of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
+            "alpha=31, beta=3) disagrees with the oracle\n"
+        )
 
 
 class TestGluedPoset:

@@ -230,6 +230,41 @@ class TestKunzRoundTrip:
             S = NumericalSemigroup(gens)
             assert from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S
 
+    def test_round_trip_modulus_above_multiplicity(self):
+        # m in S but not its multiplicity: the Kunz tuple has zero entries
+        # (z_i = 0 exactly for the classes i < m that lie in S), and the
+        # generators found by the facet scan must still be the minimal ones
+        rng = random.Random(404)
+        cases = 0
+        while cases < 300:
+            gens = random_gens(rng, 2, 9, spread=3, extra_hi=4)
+            if gens is None:
+                continue
+            table = dp_members(gens, 4 * gens[0])
+            m = rng.choice([n for n in range(gens[0] + 1, len(table)) if table[n]])
+            S = NumericalSemigroup(gens)
+            z = S.coordinates(m, KUNZ)
+            assert z[gens[0]] == 0
+            assert from_kunz_tuple(m, z).generators == tuple(dp_minimal_generators(gens))
+            cases += 1
+
+    @pytest.mark.parametrize(
+        "m, z, message",
+        [
+            (3, (1, 3), "z_1 + z_1 >= z_2 fails: 1 + 1 < 3"),
+            (3, (4, 1), "z_2 + z_2 + 1 >= z_1 fails: 1 + 1 + 1 < 4"),
+            (5, (2, 1, 9, 9), "z_1 + z_2 >= z_3 fails: 2 + 1 < 9"),
+            (5, (3, 1, 1, 9), "z_1 + z_3 >= z_4 fails: 3 + 1 < 9"),
+            (5, (4, 3, 2, 0), "z_4 + z_4 + 1 >= z_3 fails: 0 + 0 + 1 < 2"),
+            (6, (1, 1, 1, -1, 5), "z_4 = -1 is negative"),
+        ],
+    )
+    def test_violation_messages(self, m, z, message):
+        # the first violated facet in scan order is the one named
+        with pytest.raises(NotInPolyhedron) as exc:
+            from_kunz_tuple(m, z)
+        assert str(exc.value) == message
+
     def test_inequality_violation_rejected(self):
         # z_1 + z_1 >= z_2 fails: 1 + 1 < 3
         with pytest.raises(NotInPolyhedron):
