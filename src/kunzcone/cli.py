@@ -220,16 +220,17 @@ _COMMANDS = {
 }
 
 
-def _join_gens(argv: list[str]) -> list[str]:
-    """Rewrite ``--gens -3,5`` as ``--gens=-3,5``.
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--gens -3,5`` as ``--gens=-3,5``, and ``--params`` alike.
 
     argparse takes a value that starts with '-' and is not a plain
-    negative number for a flag, so ``_gens`` would never see it.
+    negative number for a flag, so its value check would never see it.
     """
     out = []
     for arg in argv:
-        if out and out[-1] == "--gens" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--gens={arg}"
+        flag = out[-1] if out else None
+        if flag in ("--gens", "--params") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)
     return out
@@ -237,7 +238,7 @@ def _join_gens(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_gens(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     code = 0
     try:
         if args.command == "verify":

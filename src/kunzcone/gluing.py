@@ -25,7 +25,7 @@ from .errors import (
     NotCoprime,
     SampleNotInterior,
 )
-from .poset import KunzPoset, kunz_poset_of, subgroup_of
+from .poset import KunzPoset, _apery_order, subgroup_of
 from .semigroup import APERY, CoordTuple, NumericalSemigroup
 
 @dataclass(frozen=True)
@@ -87,29 +87,33 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
 
     b*alpha + a*beta precedes b'*alpha + a'*beta iff a precedes a' in the
     base Apery order and either b <= b' or (when alpha is itself an Apery
-    element) alpha precedes a' - a.  The result is checked against the
-    oracle poset of the glued semigroup.
+    element) alpha precedes a' - a.  Each base pair a, a' with a' - a in
+    Ap(S; m) emits its class pairs: O(m^2 + beta^2 * relations), not
+    O((beta*m)^2).  Before the one poset is built, the pair set must equal
+    the glued semigroup's Apery order (the oracle of kunz_poset_of); both
+    are reflexive with a bottom row, so equal sets mean equal posets.
     """
-    S, alpha = spec.base, spec.alpha
+    S, alpha, beta = spec.base, spec.alpha, spec.beta
     m = S.multiplicity
-    n = spec.beta * m
-    ap_set = set(S.apery_set(m))
+    n = beta * m
+    ap = S.apery_set(m)
+    ap_set = set(ap)
     alpha_in_ap = alpha in ap_set
     table = _glued_values(spec)
-    pairs = []
-    labels = {}
-    for c1, (v1, b1, a1) in table.items():
-        labels[c1] = v1
-        for c2, (v2, b2, a2) in table.items():
+    pairs = set()
+    for a1 in ap:
+        for a2 in ap:
             diff = a2 - a1
             if diff not in ap_set:
                 continue
-            if b1 <= b2 or (alpha_in_ap and S.contains(diff - alpha)):
-                pairs.append((c1, c2))
-    P = KunzPoset(n, pairs, labels=labels)
-    if P != kunz_poset_of(glue(spec), n):
+            wrap = alpha_in_ap and S.contains(diff - alpha)
+            for b1 in range(beta):
+                c1 = (b1 * alpha + a1 * beta) % n
+                for b2 in range(0 if wrap else b1, beta):
+                    pairs.add((c1, (b2 * alpha + a2 * beta) % n))
+    if pairs != set(_apery_order(glue(spec), n)[1]):
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
-    return P
+    return KunzPoset(n, pairs, labels={c: v for c, (v, _, _) in table.items()})
 
 
 class EmbeddingSpec:
@@ -197,29 +201,29 @@ def extend_poset(P: KunzPoset, spec: EmbeddingSpec, augmented: bool) -> KunzPose
     beta*rho preceding a' - a in P.  When the class of beta*rho is the
     bottom of P the augmented order collapses along rho: the result then
     lives on Z_n/(H' + <rho>) and is a relabelled copy of P.
+
+    Otherwise one walk over the relation of P, reflexive pairs included,
+    emits the pairs: beta*a + b*rho (a in P's ground, 0 <= b < beta) meets
+    every class of Z_n / beta*H' once, so the cost is O(beta^2 * relations).
     """
     if P.modulus != spec.sub_modulus:
         raise InvalidQuotient(
             f"poset modulus {P.modulus} does not match the subgroup copy "
             f"Z_{spec.sub_modulus}"
         )
-    n, beta = spec.n, spec.beta
+    n, beta, rho = spec.n, spec.beta, spec.rho
     if augmented and P.index_of(spec.brho_sub) == 0:
-        sub = subgroup_of(n, [beta * h % n for h in P.subgroup] + [spec.rho])
+        sub = subgroup_of(n, [beta * h % n for h in P.subgroup] + [rho])
         pairs = [(beta * a % n, beta * b % n) for a, b in P.relations()]
         return KunzPoset(n, pairs, subgroup=sub)
     sub = tuple(beta * h % n for h in P.subgroup)
     pairs = []
-    for g1 in range(n):
-        a1, b1 = spec._decomp[g1]
-        for g2 in range(n):
-            a2, b2 = spec._decomp[g2]
-            if not P.leq(a1, a2):
-                continue
-            if b1 <= b2 or (
-                augmented and P.leq(spec.brho_sub, (a2 - a1) % spec.sub_modulus)
-            ):
-                pairs.append((g1, g2))
+    for a1, a2 in [(a, a) for a in P.ground] + P.relations():
+        wrap = augmented and P.leq(spec.brho_sub, a2 - a1)
+        for b1 in range(beta):
+            g1 = (beta * a1 + b1 * rho) % n
+            for b2 in range(0 if wrap else b1, beta):
+                pairs.append((g1, (beta * a2 + b2 * rho) % n))
     return KunzPoset(n, pairs, subgroup=sub)
 
 

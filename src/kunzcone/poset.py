@@ -50,10 +50,13 @@ class KunzPoset:
 
     ``pairs`` are (a, b) relations meaning a precedes b; elements are
     arbitrary members of Z_n and get reduced to canonical coset
-    representatives (the smallest member of each coset).  Reflexivity and
-    the bottom element are added automatically; antisymmetry,
-    transitivity, and difference closure (a before b forces b-a before b)
-    are validated, so malformed input fails fast with ValueError.
+    representatives, the smallest member of each coset.  The validated
+    subgroup is g*Z_n for its least positive member g (g = n when
+    trivial), so that minimum is x mod g and ``ground`` is range(g).
+    Reflexivity and the bottom element are added automatically;
+    antisymmetry, transitivity, and difference closure (a before b forces
+    b-a before b) are validated, so malformed input fails fast with
+    ValueError.
 
     Equality and hashing compare modulus, subgroup, and the relation
     table only; labels are cosmetic.
@@ -70,17 +73,15 @@ class KunzPoset:
                     raise ValueError(f"subgroup not closed: {a} + {b}")
         self.subgroup = tuple(sorted(sub))
 
-        # canonical representative (coset minimum) for every class
-        rep = [min((x + h) % modulus for h in sub) for x in range(modulus)]
-        self._rep = rep
-        ground = self.ground = tuple(sorted(set(rep)))
-        index = self._index = {g: i for i, g in enumerate(ground)}
-        size = len(ground)
+        # a closed subset of Z_n is g*Z_n for its least positive member g,
+        # so the coset minimum of x is x mod g and class i is ground[i] = i
+        size = self._g = self.subgroup[1] if len(sub) > 1 else modulus
+        self.ground = tuple(range(size))
 
         up = [1 << i for i in range(size)]
         up[0] = (1 << size) - 1
         for a, b in pairs:
-            up[index[rep[a % modulus]]] |= 1 << index[rep[b % modulus]]
+            up[a % size] |= 1 << b % size
         self._up = up
 
         down = [0] * size
@@ -90,50 +91,44 @@ class KunzPoset:
                 if j == i:
                     continue
                 if up[j] >> i & 1:
-                    raise ValueError(
-                        f"antisymmetry fails between classes {ground[i]} and {ground[j]}"
-                    )
+                    raise ValueError(f"antisymmetry fails between classes {i} and {j}")
                 if up[j] & ~row:
-                    raise ValueError(f"relation is not transitive at class {ground[i]}")
-                if not up[index[rep[(ground[j] - ground[i]) % modulus]]] >> j & 1:
+                    raise ValueError(f"relation is not transitive at class {i}")
+                if not up[(j - i) % size] >> j & 1:
                     raise ValueError(
-                        f"difference closure fails: {ground[i]} precedes "
-                        f"{ground[j]} but their difference class does not"
+                        f"difference closure fails: {i} precedes "
+                        f"{j} but their difference class does not"
                     )
         self._down = down
 
         if labels is None:
             self.labels = None
         else:
-            self.labels = tuple(int(labels[g]) for g in ground)
+            self.labels = tuple(int(labels[g]) for g in self.ground)
 
     # -- queries ---------------------------------------------------------
 
     def index_of(self, x: int) -> int:
-        """Index into ground of the coset of x."""
-        return self._index[self._rep[x % self.modulus]]
+        """Index into ground of the coset of x, which is its minimum x mod g."""
+        return x % self._g
 
     def leq(self, a: int, b: int) -> bool:
-        return bool((self._up[self.index_of(a)] >> self.index_of(b)) & 1)
+        g = self._g
+        return bool(self._up[a % g] >> b % g & 1)
 
     def relations(self) -> list[tuple[int, int]]:
         """All strict pairs (a, b) with a before b, sorted."""
-        ground = self.ground
-        return [
-            (g, ground[j])
-            for i, g in enumerate(ground)
-            for j in _bits(self._up[i] & ~(1 << i))
-        ]
+        return [(i, j) for i, row in enumerate(self._up) for j in _bits(row & ~(1 << i))]
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs (a, b) with b immediately above a, sorted."""
-        ground, down = self.ground, self._down
+        down = self._down
         out = []
-        for i, g in enumerate(ground):
-            strict_up = self._up[i] & ~(1 << i)
+        for i, row in enumerate(self._up):
+            strict_up = row & ~(1 << i)
             for j in _bits(strict_up):
                 if not strict_up & down[j] & ~(1 << j):
-                    out.append((g, ground[j]))
+                    out.append((i, j))
         return out
 
     def atoms(self) -> list[int]:
@@ -152,10 +147,7 @@ class KunzPoset:
         h = [0] * len(down)
         for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
             h[i] = max((h[j] + 1 for j in _bits(down[i] & ~(1 << i))), default=0)
-        index = self._index
-        skip = next(
-            ((a, b) for a, b in covers if h[index[b]] != h[index[a]] + 1), None
-        )
+        skip = next(((a, b) for a, b in covers if h[b] != h[a] + 1), None)
         return h, skip
 
     def is_graded(self) -> bool:

@@ -36,7 +36,6 @@ from .semigroup import (
     APERY,
     KUNZ,
     NumericalSemigroup,
-    apery_by_class,
     from_kunz_tuple,
 )
 
@@ -117,7 +116,9 @@ def suite_ega(seed: int, max_m: int = 12, max_h: int = 2) -> dict:
     failures: list[str] = []
     for p in iter_ega_params(max_m, max_h, d_factor=1):
         tag = f"(a={p.a},h={p.h},k={p.k},d={p.d})"
-        dist = apery_by_class(p.generators, p.a)
+        S = NumericalSemigroup(p.generators)
+        x = S.coordinates(p.a, APERY)
+        dist = x.entries
         frob = max(dist) - p.a
         checks += 1
         if ega_frobenius(p) != frob:
@@ -129,12 +130,11 @@ def suite_ega(seed: int, max_m: int = 12, max_h: int = 2) -> dict:
         )
         if not ok:
             failures.append(f"membership boundary {tag}")
-        S = NumericalSemigroup(p.generators)
         checks += 1
         if ega_kunz_poset(p.a, p.k, p.d) != kunz_poset_of(S, p.a):
             failures.append(f"grid poset {tag}")
         checks += 1
-        if ega_face_dimension(p.a, p.k) != face_of(S.coordinates(p.a, APERY)).dimension:
+        if ega_face_dimension(p.a, p.k) != face_of(x).dimension:
             failures.append(f"face dimension {tag}")
         if 1 < p.k < p.a - 2 and p.h == 1:
             checks += 1

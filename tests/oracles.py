@@ -173,3 +173,39 @@ def is_kunz_order(n, pairs, subgroup):
         if (cls(b - a), b) not in rel:
             return False
     return True
+
+
+def extend_relation(P, n, beta, rho, augmented):
+    """Extension of the Kunz poset P on Z_{n/beta} to Z_n, by definition.
+
+    Every g in Z_n is beta*a + b*rho for one a in Z_{n/beta} and one
+    0 <= b < beta, found by listing all of them.  g1 precedes g2 when a1
+    precedes a2 in P and either b1 <= b2 or (augmented) the a-part of
+    beta*rho precedes a2 - a1 in P, tested over all n^2 pairs.  The
+    classes equivalent to 0 form the subgroup of the result (larger than
+    beta*H' exactly when the augmented order collapses along rho), and
+    the relation is returned on its coset minima: (subgroup, pair set).
+    """
+    m = n // beta
+    p_sub = {h % m for h in P.subgroup} | {0}
+    p_rel = {(c, c) for c in P.ground} | set(P.relations())
+
+    def p_leq(x, y):
+        return (min((x + h) % m for h in p_sub), min((y + h) % m for h in p_sub)) in p_rel
+
+    parts = {(beta * a + b * rho) % n: (a, b) for a in range(m) for b in range(beta)}
+    assert len(parts) == n, "rho must generate Z_n modulo the multiples of beta"
+    brho = parts[beta * rho % n][0]
+    rel = set()
+    for g1 in range(n):
+        a1, b1 = parts[g1]
+        for g2 in range(n):
+            a2, b2 = parts[g2]
+            if p_leq(a1, a2) and (b1 <= b2 or (augmented and p_leq(brho, a2 - a1))):
+                rel.add((g1, g2))
+    kernel = tuple(g for g in range(n) if (0, g) in rel and (g, 0) in rel)
+
+    def cls(x):
+        return min((x + h) % n for h in kernel)
+
+    return kernel, {(cls(a), cls(b)) for a, b in rel}

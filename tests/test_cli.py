@@ -206,6 +206,13 @@ class TestExitCodes:
             "generators must be positive, got '-3,5'"
         )
 
+    def test_negative_params_as_separate_token_is_one(self, capsys):
+        # "-5,1,2,3" after --params must reach ega_new, not be read as a flag
+        code, out, err = run_cli(capsys, "ega", "--params", "-5,1,2,3")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "InvalidParams: need multiplicity a >= 2, got a=-5"
+
     @pytest.mark.parametrize("command", ["apery", "poset", "face", "glue"])
     def test_trivial_semigroup_is_one(self, capsys, command):
         extra = ["--alpha", "2", "--beta", "3"] if command == "glue" else []

@@ -8,16 +8,19 @@ from pathlib import Path
 
 import pytest
 
+import kunzcone.gluing as gluing
 from kunzcone import (
     APERY,
     KUNZ,
     AlphaIsGenerator,
     AlphaNotInS,
+    CheckFailed,
     CoordTuple,
     EmbeddingSpec,
     GluingSpec,
     InvalidParams,
     InvalidQuotient,
+    KunzPoset,
     NotCoprime,
     NotInCone,
     NumericalSemigroup,
@@ -33,9 +36,22 @@ from kunzcone import (
     phi,
     verify_face_image,
 )
-from oracles import dp_apery, random_gens
+from kunzcone.sweeps import random_semigroup_with_multiplicity
+from oracles import dp_apery, extend_relation, random_gens
 
 BASE = NumericalSemigroup([4, 13, 18])
+
+
+def run_optimized(script):
+    """Run ``script`` under ``python -O`` against this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 @pytest.fixture
@@ -130,14 +146,7 @@ except CheckFailed as exc:
     sys.exit(0)
 sys.exit(1)
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        run = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        run = run_optimized(script)
         assert run.returncode == 0, run.stderr
         assert run.stdout == (
             "closed-form Apery set of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
@@ -150,6 +159,47 @@ class TestGluedPoset:
         for spec in (plain_spec, augmented_spec):
             T = glue(spec)
             assert glued_poset(spec) == kunz_poset_of(T, 12)
+
+    def test_oracle_missing_one_relation_fails(self, monkeypatch, augmented_spec):
+        real = gluing._apery_order
+
+        def dropped(S, n):
+            values, pairs = real(S, n)
+            strict = [p for p in pairs if p[0] != p[1]]
+            return values, [p for p in pairs if p != strict[-1]]
+
+        monkeypatch.setattr(gluing, "_apery_order", dropped)
+        with pytest.raises(CheckFailed, match="closed-form poset of .* disagrees"):
+            glued_poset(augmented_spec)
+
+    def test_oracle_check_survives_optimize(self):
+        script = """
+import sys
+import kunzcone.gluing as gluing
+from kunzcone import CheckFailed, GluingSpec, NumericalSemigroup
+
+assert False, "asserts are live"
+real = gluing._apery_order
+
+def dropped(S, n):
+    values, pairs = real(S, n)
+    strict = [p for p in pairs if p[0] != p[1]]
+    return values, [p for p in pairs if p != strict[-1]]
+
+gluing._apery_order = dropped
+try:
+    gluing.glued_poset(GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3))
+except CheckFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+        run = run_optimized(script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "closed-form poset of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
+            "alpha=31, beta=3) disagrees with the oracle\n"
+        )
 
     def test_augmented_extras_golden(self, plain_spec, augmented_spec):
         P1 = glued_poset(plain_spec)
@@ -307,6 +357,36 @@ class TestExtendPoset:
         # the plain extension does not collapse
         R = extend_poset(P, spec, augmented=False)
         assert R.subgroup == (0,)
+
+    def test_against_definition(self):
+        # random Kunz orders on Z_m / d*Z_m, every beta <= 4, random rho
+        rng = random.Random(83)
+        checked = collapsed = 0
+        for _ in range(120):
+            m = rng.randint(2, 12)
+            if rng.random() < 0.5:
+                P = kunz_poset_of(random_semigroup_with_multiplicity(rng, m), m)
+            else:
+                d = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+                while True:
+                    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, m))]
+                    try:
+                        P = KunzPoset(m, pairs, subgroup=range(0, m, d))
+                        break
+                    except ValueError:
+                        continue
+            beta = rng.randint(2, 4)
+            n = beta * m
+            rho = rng.choice([r for r in range(n) if gcd(r % beta, beta) == 1])
+            spec = EmbeddingSpec(n, beta, rho)
+            for augmented in (False, True):
+                E = extend_poset(P, spec, augmented)
+                subgroup, rel = extend_relation(P, n, beta, spec.rho, augmented)
+                assert E.subgroup == subgroup
+                assert {(c, c) for c in E.ground} | set(E.relations()) == rel
+                checked += 1
+                collapsed += len(E.subgroup) > len(P.subgroup)
+        assert checked == 240 and collapsed > 10
 
     def test_modulus_mismatch(self):
         spec = EmbeddingSpec(12, 3, 7)

@@ -197,6 +197,15 @@ class TestQuotientGround:
         assert P.leq(0, 7)       # bottom below everything
         assert not P.leq(4, 8)
 
+    def test_ground_is_range_of_least_positive_member(self):
+        for n in range(2, 25):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                sub = range(0, n, d)
+                P = KunzPoset(n, [], subgroup=sub)
+                assert P.ground == tuple(range(d))
+                for x in range(-n, 2 * n):
+                    assert P.ground[P.index_of(x)] == min((x + h) % n for h in sub)
+
     def test_equality_distinguishes_subgroup(self):
         assert KunzPoset(12, [], subgroup=(0, 6)) != KunzPoset(12, [], subgroup=(0, 4, 8))
 
