@@ -205,6 +205,12 @@ def _cmd_embed(args) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    # least multiplicity each suite draws; embedding reads neither size flag
+    least_m = {"roundtrip": 2, "ega": 2, "gluing": 3}.get(args.suite)
+    if least_m is not None and args.max_m < least_m:
+        raise _UsageError(f"verify --suite {args.suite} needs --max-m >= {least_m}")
+    if args.suite == "gluing" and args.max_beta < 2:
+        raise _UsageError("verify --suite gluing needs --max-beta >= 2")
     report = run_suite(args.suite, args.seed, max_m=args.max_m, max_beta=args.max_beta)
     return _dump(report), (0 if report["failures"] == 0 else 1)
 
@@ -252,8 +258,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"usage error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return code

@@ -12,31 +12,20 @@ from math import gcd
 
 from .errors import InconsistentFace, NotAUnit, NotInCone
 from .linalg import IntegerEchelon
-from .poset import KunzPoset
-from .semigroup import APERY, KUNZ, CoordTuple
+from .poset import KunzPoset, _bits
+from .semigroup import APERY, CoordTuple, _facet_scan
 
 CONE = "cone"
 POLYHEDRON = "polyhedron"
-
-# coordinate kind -> inequality family used by face_of
-_KIND_OF_TUPLE = {APERY: CONE, KUNZ: POLYHEDRON}
-
-
-def _facet_pairs(n: int):
-    """Canonical facet indices: 1 <= i <= j < n with i + j != 0 in Z_n."""
-    for i in range(1, n):
-        for j in range(i, n):
-            if (i + j) % n != 0:
-                yield i, j
 
 
 class ConeFace:
     """A face of the group cone C(Z_n), given by its tight facet set.
 
     Faces produced by face_of are genuine and skip consistency checks;
-    hand-built tight sets are vetted (not exhaustively, but enough to
-    catch equality systems that force some recorded-strict facet) before
-    subgroup or poset extraction.
+    hand-built tight sets are vetted by a span test and a transitivity walk
+    over Z_n bit rows (not exhaustive, but enough to catch equality systems
+    that force some recorded-strict facet) before subgroup or poset extraction.
 
     Dimension, subgroup and the span test all come from one reduced
     integer echelon of the tight equality rows.  The dimension is n-1
@@ -90,13 +79,6 @@ class ConeFace:
         row[(i + j) % self.modulus - 1] = -1
         return row
 
-    def _row(self, i: int, j: int) -> list[int]:
-        """The equality row of facet (i,j) written out densely."""
-        row = [0] * (self.modulus - 1)
-        for col, v in self._equality(i, j).items():
-            row[col] = v
-        return row
-
     def _tight_echelon(self) -> IntegerEchelon:
         if self._echelon is None:
             ech = IntegerEchelon(self.modulus - 1)
@@ -113,33 +95,33 @@ class ConeFace:
     def _check_consistency(self):
         """Reject tight sets whose equalities force a recorded-strict facet.
 
-        Two sound (not complete) detectors: a strict facet's row lying in
-        the span of the tight rows, and the squeeze along composable tight
-        pairs, where x_a + x_u = x_{a+u} and x_{a+u} + x_v = x_{a+u+v}
-        force the facets (u, v) and (a, u+v) to be tight as well.
+        Two sound (not complete) detectors: a strict facet's row in the
+        span of the tight rows, and the Kunz order's transitivity walked on
+        Z_n bit rows, up[a] = {a} + {a+u : (a, u) tight}, since tight (a, u)
+        and (a+u, v) force (a, u+v).  Difference closure holds because the
+        tight set is symmetric; antisymmetry is not asked, as classes
+        pinned to zero form cycles on Z_n.
         """
         n = self.modulus
         ech = self._tight_echelon()
-        for i, j in _facet_pairs(n):
-            if (i, j) not in self.tight and ech.contains(self._equality(i, j)):
-                raise InconsistentFace(
-                    f"equalities force facet ({i},{j}) which is recorded strict"
-                )
-        by_first: dict[int, list[int]] = {}
+        for i in range(1, n):
+            for j in range(i, n):
+                if (i + j) % n and (i, j) not in self.tight and ech.contains(self._equality(i, j)):
+                    raise InconsistentFace(
+                        f"equalities force facet ({i},{j}) which is recorded strict"
+                    )
+        up = [1 << a for a in range(n)]
         for a, u in self.tight:
-            by_first.setdefault(a, []).append(u)
-        for a, u in self.tight:
-            b = (a + u) % n
-            for v in by_first.get(b, ()):
-                w = (u + v) % n
-                if w == 0:
-                    continue
-                for p, q in ((u, v), (a, w)):
-                    if (p, q) not in self.tight:
-                        raise InconsistentFace(
-                            f"tight pairs ({a},{u}) and ({b},{v}) force facet "
-                            f"({p},{q}) which is recorded strict"
-                        )
+            up[a] |= 1 << (a + u) % n
+        for a in range(1, n):
+            for b in _bits(up[a] & ~(1 << a)):
+                missing = up[b] & ~up[a]
+                if missing:
+                    c = (missing & -missing).bit_length() - 1
+                    raise InconsistentFace(
+                        f"tight pairs ({a},{(b - a) % n}) and ({b},{(c - b) % n}) force "
+                        f"facet ({a},{(c - a) % n}) which is recorded strict"
+                    )
 
     @property
     def kunz_subgroup(self) -> tuple[int, ...]:
@@ -180,44 +162,25 @@ def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:
 
     kind "cone" scans x_i + x_j >= x_{i+j}; kind "polyhedron" scans the
     translated system z_i + z_j >= z_{i+j} (i+j < n) and
-    z_i + z_j + 1 >= z_{i+j-n} (i+j > n).  Defaults to the family that
+    z_i + z_j + 1 >= z_{i+j-n} (i+j > n), both in ``_facet_scan``, whose
+    first violated facet NotInCone names.  Defaults to the family that
     matches the tuple's own kind; a semigroup's Apery and Kunz tuples then
     land on faces with identical tight sets.
     """
     if kind is None:
-        kind = _KIND_OF_TUPLE[x.kind]
+        kind = CONE if x.kind == APERY else POLYHEDRON
     if kind not in (CONE, POLYHEDRON):
         raise ValueError(f"kind must be {CONE!r} or {POLYHEDRON!r}")
     n = x.modulus
-    e = x.entries
     # the two families differ only by the +1 on facets with i + j > n
-    wrap = 0 if kind == CONE else 1
-    tight = []
-    # facets (i, j) in _facet_pairs order: i + j < n, then i + j > n
-    for i in range(1, n):
-        xi = e[i]
-        for j in range(i, n - i):
-            slack = xi + e[j] - e[i + j]
-            if slack <= 0:
-                if slack < 0:
-                    raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
-                tight.append((i, j))
-        for j in range(max(i, n - i + 1), n):
-            slack = xi + e[j] + wrap - e[i + j - n]
-            if slack <= 0:
-                if slack < 0:
-                    raise NotInCone(f"violated: {_facet_label(kind, i, j, n)} at indices ({i},{j})")
-                tight.append((i, j))
+    tight, bad = _facet_scan(x.entries, 0 if kind == CONE else 1)
+    if bad is not None:
+        i, j = bad
+        v, plus = ("x", "") if kind == CONE else ("z", " + 1" if i + j > n else "")
+        raise NotInCone(
+            f"violated: {v}_{i} + {v}_{j}{plus} >= {v}_{(i + j) % n} at indices ({i},{j})"
+        )
     return ConeFace(n, tight, trusted=True)
-
-
-def _facet_label(kind: str, i: int, j: int, n: int) -> str:
-    """The inequality of facet (i, j) as written in NotInCone messages."""
-    if kind == CONE:
-        return f"x_{i} + x_{j} >= x_{(i + j) % n}"
-    if i + j < n:
-        return f"z_{i} + z_{j} >= z_{i + j}"
-    return f"z_{i} + z_{j} + 1 >= z_{i + j - n}"
 
 
 def apply_automorphism(obj, u: int):

@@ -89,9 +89,10 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     base Apery order and either b <= b' or (when alpha is itself an Apery
     element) alpha precedes a' - a.  Each base pair a, a' with a' - a in
     Ap(S; m) emits its class pairs: O(m^2 + beta^2 * relations), not
-    O((beta*m)^2).  Before the one poset is built, the pair set must equal
-    the glued semigroup's Apery order (the oracle of kunz_poset_of); both
-    are reflexive with a bottom row, so equal sets mean equal posets.
+    O((beta*m)^2).  Before the one poset is built, its strict pairs above
+    the bottom must equal the glued semigroup's Apery order (the oracle of
+    kunz_poset_of); the closed form always holds the reflexive pairs and
+    the bottom row, so equal strict sets mean equal posets.
     """
     S, alpha, beta = spec.base, spec.alpha, spec.beta
     m = S.multiplicity
@@ -111,9 +112,10 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
                 c1 = (b1 * alpha + a1 * beta) % n
                 for b2 in range(0 if wrap else b1, beta):
                     pairs.add((c1, (b2 * alpha + a2 * beta) % n))
-    if pairs != set(_apery_order(glue(spec), n)[1]):
+    strict = {(c1, c2) for c1, c2 in pairs if c1 and c1 != c2}
+    if strict != set(_apery_order(glue(spec), n)[1]):
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
-    return KunzPoset(n, pairs, labels={c: v for c, (v, _, _) in table.items()})
+    return KunzPoset(n, strict, labels={c: v for c, (v, _, _) in table.items()})
 
 
 class EmbeddingSpec:
@@ -127,7 +129,7 @@ class EmbeddingSpec:
     """
 
     def __init__(self, n: int, h_gen: int, rho: int):
-        beta = gcd(n, h_gen % n)
+        beta = gcd(n, h_gen % n) if n else 0  # n = 0 fails below, not in h_gen % n
         if n < 4 or beta < 2 or n // beta < 2:
             raise InvalidParams(
                 f"need a proper nontrivial subgroup: n={n}, h_gen={h_gen} "

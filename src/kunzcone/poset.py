@@ -16,7 +16,7 @@ recursion.
 from __future__ import annotations
 
 from .errors import NotGraded
-from .semigroup import APERY, NumericalSemigroup
+from .semigroup import APERY, NumericalSemigroup, _facet_scan
 
 
 def _bits(mask: int):
@@ -217,19 +217,18 @@ class KunzPoset:
 
 
 def _apery_order(S: NumericalSemigroup, m: int):
-    """Apery values of S mod m and the pairs of their divisibility order.
+    """Apery values of S mod m and the strict, non-bottom pairs of their
+    divisibility order.
 
     i precedes j exactly when a_j - a_i is itself an Apery element, which
-    for elements of one class pins it to the class minimum a_{j-i}.
+    for elements of one class pins it to the class minimum a_{j-i}: the
+    tight facet a_i + a_k = a_{i+k} puts i and k below i+k.  (The tuple
+    lies in the cone, so the facet scan meets no violated facet.)
     """
     values = S.coordinates(m, APERY).entries
-    pairs = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if values[j] - values[i] == values[(j - i) % m]
-    ]
-    return values, pairs
+    tight, _ = _facet_scan(values, 0)
+    pairs = [(i, (i + k) % m) for i, k in tight]
+    return values, pairs + [(k, (i + k) % m) for i, k in tight if i != k]
 
 
 def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:

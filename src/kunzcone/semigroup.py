@@ -237,11 +237,12 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     the inequalities already force for m >= 3 but not in the degenerate
     m = 2 case where the facet list is empty.
 
-    The same facet scan also finds the generators.  With a_s = m*z_s + s,
-    a facet that holds with equality says a_i + a_j = a_s for its target
-    class s, so a_s is a sum of two smaller elements and cannot be a
-    minimal generator.  Only m and the a_s of the other classes go to
-    ``NumericalSemigroup``, which still minimalizes them.
+    The facet scan that validates the tuple (``_facet_scan``, shared with
+    face_of) also finds the generators.  With a_s = m*z_s + s, a tight
+    facet says a_i + a_j = a_s for its target class s, so a_s is a sum of
+    two smaller elements and cannot be a minimal generator.  Only m and
+    the a_s of the other classes go to ``NumericalSemigroup``, which still
+    minimalizes them.
     """
     if isinstance(entries, CoordTuple):
         if entries.kind != KUNZ:
@@ -266,28 +267,41 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     for i in range(1, m):
         if full[i] < 0:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")
-    # facets (i, j) with i <= j in scan order: targets i + j < m, then i + j > m
-    summed = [False] * m
-    for i in range(1, m):
-        zi = full[i]
-        for j in range(i, m - i):
-            s = i + j
-            lhs = zi + full[j]
-            if lhs <= full[s]:
-                if lhs < full[s]:
-                    raise NotInPolyhedron(
-                        f"z_{i} + z_{j} >= z_{s} fails: {zi} + {full[j]} < {full[s]}"
-                    )
-                summed[s] = True
-        for j in range(max(i, m - i + 1), m):
-            s = i + j - m
-            lhs = zi + full[j] + 1
-            if lhs <= full[s]:
-                if lhs < full[s]:
-                    raise NotInPolyhedron(
-                        f"z_{i} + z_{j} + 1 >= z_{s} fails: "
-                        f"{zi} + {full[j]} + 1 < {full[s]}"
-                    )
-                summed[s] = True
-    gens = [m] + [m * full[s] + s for s in range(1, m) if not summed[s]]
+    tight, bad = _facet_scan(full, 1)
+    if bad is not None:
+        i, j = bad
+        s, plus = (i + j, "") if i + j < m else (i + j - m, " + 1")
+        raise NotInPolyhedron(
+            f"z_{i} + z_{j}{plus} >= z_{s} fails: {full[i]} + {full[j]}{plus} < {full[s]}"
+        )
+    summed = {(i + j) % m for i, j in tight}
+    gens = [m] + [m * full[s] + s for s in range(1, m) if s not in summed]
     return NumericalSemigroup(gens)
+
+
+def _facet_scan(entries, wrap: int):
+    """Tight facets (i, j) of the point ``entries`` over Z_n, and the
+    first violated facet or None.
+
+    Facet (i, j), 1 <= i <= j < n, is x_i + x_j >= x_{i+j} if i + j < n
+    and x_i + x_j + wrap >= x_{i+j-n} if i + j > n (wrap 0: the group
+    cone; wrap 1: the Kunz polyhedron).  For each i, targets below n come
+    first; the scan stops at the first violated facet.
+    """
+    n = len(entries)
+    tight = []
+    for i in range(1, n):
+        xi = entries[i]
+        for j in range(i, n - i):
+            slack = xi + entries[j] - entries[i + j]
+            if slack <= 0:
+                if slack < 0:
+                    return tight, (i, j)
+                tight.append((i, j))
+        for j in range(max(i, n - i + 1), n):
+            slack = xi + entries[j] + wrap - entries[i + j - n]
+            if slack <= 0:
+                if slack < 0:
+                    return tight, (i, j)
+                tight.append((i, j))
+    return tight, None

@@ -209,3 +209,50 @@ def extend_relation(P, n, beta, rho, augmented):
         return min((x + h) % n for h in kernel)
 
     return kernel, {(cls(a), cls(b)) for a, b in rel}
+
+
+def squeeze_rejects(n, tight):
+    """Whether a hand-built tight set over Z_n fails the span-and-squeeze rule.
+
+    Reference for the consistency check of hand-built cone faces, kept
+    apart from the library's echelon and bit rows.  With the tight set
+    made symmetric, it rejects when
+    - the equality row x_i + x_j - x_{i+j} of a strict facet lies in the
+      span of the tight rows (fraction-free integer elimination), or
+    - tight pairs (a, u) and (a+u, v) with u + v != 0 in Z_n force a
+      facet (u, v) or (a, u+v) that is not tight (the squeeze).
+    """
+    sym = {(i % n, j % n) for i, j in tight}
+    sym |= {(j, i) for i, j in sym}
+    for a, u in sym:
+        for b, v in sym:
+            w = (u + v) % n
+            if b == (a + u) % n and w and ((u, v) not in sym or (a, w) not in sym):
+                return True
+
+    def row(i, j):
+        r = [0] * n
+        r[i] += 1
+        r[j] += 1
+        r[(i + j) % n] -= 1
+        return r[1:]
+
+    def reduce(r):
+        # each basis row is zero at the pivots of the rows before it
+        for p, b in basis:
+            if r[p]:
+                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
+        return r
+
+    basis = []
+    for i, j in sym:
+        r = reduce(row(i, j))
+        pivot = next((c for c, v in enumerate(r) if v), None)
+        if pivot is not None:
+            basis.append((pivot, r))
+    return any(
+        (i, j) not in sym and not any(reduce(row(i, j)))
+        for i in range(1, n)
+        for j in range(i, n)
+        if (i + j) % n
+    )

@@ -66,6 +66,14 @@ class TestPoset:
         assert out == ""
         assert target.read_text().startswith("digraph kunz_poset {")
 
+    def test_unwritable_out_is_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poset.dot"
+        code, out, err = run_cli(capsys, "poset", "--gens", "4,13,18", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
 
 class TestFace:
     def test_golden(self, capsys):
@@ -122,6 +130,17 @@ class TestEmbed:
         assert data["decomposition"]["7"] == [0, 1]
         assert data["beta_ray"] == [g % 3 for g in range(12)]
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_small_modulus_is_one(self, capsys, n):
+        # n = 0 must not reach h_gen % n
+        code, out, err = run_cli(capsys, "embed", "--n", n, "--hgen", "0", "--rho", "1")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"InvalidParams: need a proper nontrivial subgroup: n={n}, h_gen=0 "
+            f"gives index {n}\n"
+        )
+
 
 class TestVerify:
     def test_roundtrip_suite(self, capsys):
@@ -132,6 +151,35 @@ class TestVerify:
         data = json.loads(out)
         assert data["suite"] == "roundtrip"
         assert data["seed"] == 7
+        assert data["checks"] > 0
+        assert data["failures"] == 0
+
+    @pytest.mark.parametrize(
+        "suite, flags, message",
+        [
+            ("roundtrip", ["--max-m", "1"], "needs --max-m >= 2"),
+            ("ega", ["--max-m", "1"], "needs --max-m >= 2"),
+            ("gluing", ["--max-m", "2"], "needs --max-m >= 3"),
+            ("gluing", ["--max-beta", "1"], "needs --max-beta >= 2"),
+        ],
+    )
+    def test_sizes_too_small_are_two(self, capsys, suite, flags, message):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"usage error: verify --suite {suite} {message}"
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("roundtrip", ["--max-m", "2", "--max-beta", "1"]),
+            ("ega", ["--max-m", "2", "--max-beta", "1"]),
+            ("gluing", ["--max-m", "3", "--max-beta", "2"]),
+        ],
+    )
+    def test_least_sizes_run_checks(self, capsys, suite, flags):
+        # each bound applies only to the suites that read its flag
+        data = run_json(capsys, "verify", "--suite", suite, *flags)
         assert data["checks"] > 0
         assert data["failures"] == 0
 

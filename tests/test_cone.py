@@ -18,11 +18,13 @@ from kunzcone import (
     NumericalSemigroup,
     apery_poset,
     apply_automorphism,
+    ega_rays,
     face_of,
     integer_rank,
     kunz_poset_of,
 )
-from oracles import random_gens
+from kunzcone.sweeps import iter_ega_params, random_semigroup_with_multiplicity
+from oracles import random_gens, squeeze_rejects
 
 
 class TestFaceLocation:
@@ -72,6 +74,26 @@ class TestFaceLocation:
         x = CoordTuple(4, APERY, (0, 1, 1, 3))
         with pytest.raises(NotInCone):
             face_of(x)
+
+    @pytest.mark.parametrize(
+        "kind, entries, family, message",
+        [
+            (APERY, (0, 1, 5, 1), None, "x_1 + x_1 >= x_2 at indices (1,1)"),
+            (APERY, (0, 5, 1, 1), None, "x_2 + x_3 >= x_1 at indices (2,3)"),
+            (KUNZ, (0, 1, 5, 1), None, "z_1 + z_1 >= z_2 at indices (1,1)"),
+            (KUNZ, (0, 5, 1, 1), None, "z_2 + z_3 + 1 >= z_1 at indices (2,3)"),
+            # tight on the polyhedron, violated without the +1 of the cone
+            (KUNZ, (0, 5, 2, 2), CONE, "x_2 + x_3 >= x_1 at indices (2,3)"),
+            (APERY, (0, 3, 1, 7, 2), POLYHEDRON, "z_1 + z_2 >= z_3 at indices (1,2)"),
+            (APERY, (0, Fraction(1, 2), Fraction(3, 2), 1), None,
+             "x_1 + x_1 >= x_2 at indices (1,1)"),
+        ],
+    )
+    def test_not_in_cone_messages(self, kind, entries, family, message):
+        # the first violated facet in scan order is the one named
+        with pytest.raises(NotInCone) as exc:
+            face_of(CoordTuple(len(entries), kind, entries), family)
+        assert str(exc.value) == f"violated: {message}"
 
     def test_bad_kind(self):
         x = CoordTuple(4, APERY, (0, 1, 1, 2))
@@ -154,11 +176,98 @@ class TestKunzData:
         with pytest.raises(InconsistentFace):
             F.kunz_poset
 
+    def test_walk_names_the_forced_facet(self):
+        # x_2 + x_1 = x_3 and x_3 + x_1 = x_4 squeeze x_2 + x_2 >= x_4 into
+        # an equality; the walk meets 2 -> 3 -> 4 with 4 not above 2
+        F = ConeFace(5, [(1, 2), (1, 3)])
+        with pytest.raises(InconsistentFace) as exc:
+            F.kunz_subgroup
+        assert str(exc.value) == (
+            "tight pairs (2,1) and (3,1) force facet (2,2) which is recorded strict"
+        )
+
+    def test_rejections_match_squeeze_reference(self):
+        # every tight set for n <= 6, then random ones up to n = 14
+        rng = random.Random(101)
+        cases = []
+        for n in range(2, 7):
+            facets = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+            for mask in range(1 << len(facets)):
+                cases.append((n, [f for b, f in enumerate(facets) if mask >> b & 1]))
+        for _ in range(1000):
+            n = rng.randint(7, 14)
+            facets = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+            cases.append((n, rng.sample(facets, rng.randint(0, min(len(facets), 2 * n)))))
+        rejected = 0
+        for n, tight in cases:
+            try:
+                ConeFace(n, tight).kunz_subgroup
+                raised = False
+            except InconsistentFace:
+                raised = True
+            assert raised == squeeze_rejects(n, tight), (n, tight)
+            rejected += raised
+        assert 0 < rejected < len(cases)
+
     def test_trusted_faces_skip_vetting(self):
         # the trusted flag is for faces located from an actual point;
         # it disables the consistency scan entirely
         F = ConeFace(8, [(1, 1), (2, 2)], trusted=True)
         assert isinstance(F.kunz_subgroup, tuple)
+
+
+class TestUntrustedRebuild:
+    """Faces located by face_of, rebuilt from their tight set alone, pass
+    the consistency check and give the same subgroup and poset."""
+
+    @staticmethod
+    def _rebuilt_matches(x):
+        face = face_of(x)
+        rebuilt = ConeFace(face.modulus, face.tight)
+        assert rebuilt.kunz_subgroup == face.kunz_subgroup
+        assert rebuilt.kunz_poset == face.kunz_poset
+        return face
+
+    def test_semigroup_tuples(self):
+        rng = random.Random(71)
+        done = 0
+        while done < 60:
+            gens = random_gens(rng, 3, 14)
+            if gens is None:
+                continue
+            done += 1
+            S = NumericalSemigroup(gens)
+            m = rng.choice([g for g in range(S.multiplicity, 2 * S.multiplicity) if S.contains(g)])
+            for kind in (APERY, KUNZ):
+                self._rebuilt_matches(S.coordinates(m, kind))
+
+    def test_ega_rays(self):
+        count = 0
+        for p in iter_ega_params(11, 1, d_factor=1):
+            if 1 < p.k < p.a - 2:
+                r, t = ega_rays(p)
+                for x in (r, t, r + t):
+                    self._rebuilt_matches(x)
+                count += 1
+        assert count > 50
+
+    def test_pinned_zero_class(self):
+        # x_i = a_{i mod d} + b_{i mod d} for Apery tuples a, b over Z_d is a
+        # cone point over Z_n that vanishes exactly on the multiples of d
+        rng = random.Random(73)
+        for _ in range(60):
+            n = rng.randint(4, 14)
+            divisors = [d for d in range(2, n) if n % d == 0]
+            if not divisors:
+                continue
+            d = rng.choice(divisors)
+            a, b = (
+                random_semigroup_with_multiplicity(rng, d).coordinates(d, APERY).entries
+                for _ in range(2)
+            )
+            x = CoordTuple(n, APERY, tuple(a[i % d] + b[i % d] for i in range(n)))
+            face = self._rebuilt_matches(x)
+            assert face.kunz_subgroup == tuple(range(0, n, d))
 
 
 class TestTightIntersection:
@@ -282,12 +391,21 @@ class TestIntegerEchelon:
             S = NumericalSemigroup(gens)
             m = S.multiplicity
             F = face_of(S.coordinates(m, APERY))
-            rows = [F._row(i, j) for i, j in F.canonical_tight()]
+            rows = [_facet_row(m, i, j) for i, j in F.canonical_tight()]
             if not rows:
                 assert F.dimension == m - 1
                 continue
             got = (m - 1) - F.dimension
             assert got == numpy.linalg.matrix_rank(numpy.array(rows, dtype=float))
+
+def _facet_row(n, i, j):
+    """Dense row of x_i + x_j - x_{i+j} over x_1..x_{n-1}."""
+    row = [0] * n
+    row[i] += 1
+    row[j] += 1
+    row[(i + j) % n] -= 1
+    return row[1:]
+
 
 def _numpy_rank(numpy, rows, width):
     if not rows:
@@ -344,7 +462,7 @@ class TestSparseEchelon:
             pairs = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
             tight = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
             F = ConeFace(n, tight, trusted=trusted)
-            rows = [F._row(i, j) for i, j in F.canonical_tight()]
+            rows = [_facet_row(n, i, j) for i, j in F.canonical_tight()]
             rank = _numpy_rank(numpy, rows, n - 1)
             assert F.dimension == (n - 1) - rank
             try:
