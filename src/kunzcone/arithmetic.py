@@ -170,9 +170,7 @@ def ega_face_dimension(a: int, k: int) -> int:
 
 
 def _primitive(ray: CoordTuple) -> CoordTuple:
-    g = 0
-    for v in ray.entries:
-        g = gcd(g, v)
+    g = gcd(*ray.entries)
     if g > 1:
         ray = CoordTuple(ray.modulus, ray.kind, tuple(v // g for v in ray.entries))
     for v in ray.entries:

@@ -24,7 +24,11 @@ from .errors import DomainError
 from .gluing import EmbeddingSpec, GluingSpec, beta_ray, glue, glued_poset
 from .poset import apery_poset, kunz_poset_of
 from .semigroup import APERY, KUNZ, NumericalSemigroup
-from .sweeps import SUITES, run_suite
+from .sweeps import SUITES, run_suite, size_error
+
+
+# the largest embed --n accepted: its tables and JSON output hold n entries
+MAX_EMBED_N = 10_000
 
 
 def _int_list(text: str) -> list[int]:
@@ -198,6 +202,8 @@ def _cmd_glue(args) -> str:
 
 
 def _cmd_embed(args) -> str:
+    if args.n > MAX_EMBED_N:
+        raise _UsageError(f"embed needs --n <= {MAX_EMBED_N}")
     spec = EmbeddingSpec(args.n, args.hgen, args.rho)
     data = spec.to_json_dict()
     data["beta_ray"] = list(beta_ray(spec).entries)
@@ -205,12 +211,11 @@ def _cmd_embed(args) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    # least multiplicity each suite draws; embedding reads neither size flag
-    least_m = {"roundtrip": 2, "ega": 2, "gluing": 3}.get(args.suite)
-    if least_m is not None and args.max_m < least_m:
-        raise _UsageError(f"verify --suite {args.suite} needs --max-m >= {least_m}")
-    if args.suite == "gluing" and args.max_beta < 2:
-        raise _UsageError("verify --suite gluing needs --max-beta >= 2")
+    bad = size_error(args.suite, max_m=args.max_m, max_beta=args.max_beta)
+    if bad is not None:
+        arg, relation, bound = bad
+        flag = "--" + arg.replace("_", "-")
+        raise _UsageError(f"verify --suite {args.suite} needs {flag} {relation} {bound}")
     report = run_suite(args.suite, args.seed, max_m=args.max_m, max_beta=args.max_beta)
     return _dump(report), (0 if report["failures"] == 0 else 1)
 

@@ -206,15 +206,12 @@ def apply_automorphism(obj, u: int):
         n = obj.modulus
         _require_unit(u, n)
         pairs = [(u * a % n, u * b % n) for a, b in obj.relations()]
-        sub = [u * h % n for h in obj.subgroup]
-        labels = None
-        if obj.labels is not None:
-            # key by the canonical representative of the image coset
-            labels = {
-                min((u * (g + h)) % n for h in obj.subgroup): v
-                for g, v in zip(obj.ground, obj.labels)
-            }
-        return KunzPoset(n, pairs, subgroup=sub, labels=labels)
+        # a unit maps the subgroup onto itself, so the image of the coset
+        # of g is the coset of u*g
+        labels = None if obj.labels is None else {
+            obj.index_of(u * g): v for g, v in zip(obj.ground, obj.labels)
+        }
+        return KunzPoset(n, pairs, subgroup=obj.subgroup, labels=labels)
     raise TypeError(f"cannot apply automorphism to {type(obj).__name__}")
 
 

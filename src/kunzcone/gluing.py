@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import or_
 from typing import Optional
 
 from .cone import face_of
@@ -31,7 +33,8 @@ from .semigroup import APERY, CoordTuple, NumericalSemigroup
 @dataclass(frozen=True)
 class GluingSpec:
     """Data of a gluing: base semigroup S, alpha in S (not a minimal
-    generator), and a scaling factor beta >= 2 coprime to alpha."""
+    generator), and a scaling factor beta >= 2 coprime to alpha.  The glued
+    semigroup is built once, after the checks, and is not a field."""
 
     base: NumericalSemigroup
     alpha: int
@@ -46,28 +49,29 @@ class GluingSpec:
             raise AlphaNotInS(f"{self.alpha} is not an element of {self.base}")
         if self.alpha in self.base.generators:
             raise AlphaIsGenerator(f"{self.alpha} is a minimal generator of {self.base}")
+        gens = [self.alpha] + [self.beta * g for g in self.base.generators]
+        object.__setattr__(self, "_glued", NumericalSemigroup(gens))
 
 
 def glue(spec: GluingSpec) -> NumericalSemigroup:
     """The glued semigroup <alpha, beta*n_1, ..., beta*n_k>."""
-    gens = [spec.alpha] + [spec.beta * g for g in spec.base.generators]
-    T = NumericalSemigroup(gens)
-    if T.generators != tuple(sorted(gens)):
-        raise CheckFailed(f"glued generating set {sorted(gens)} of {spec} is not minimal")
+    gens = sorted([spec.alpha] + [spec.beta * g for g in spec.base.generators])
+    T = spec._glued
+    if T.generators != tuple(gens):
+        raise CheckFailed(f"glued generating set {gens} of {spec} is not minimal")
     return T
 
 
-def _glued_values(spec: GluingSpec) -> dict[int, tuple[int, int, int]]:
-    """class mod beta*m -> (value, b, a) for the glued Apery set."""
+def _glued_values(spec: GluingSpec) -> dict[int, int]:
+    """class mod beta*m -> value, for the glued Apery set."""
     S, alpha, beta = spec.base, spec.alpha, spec.beta
-    m = S.multiplicity
-    n = beta * m
-    ap = S.apery_set(m)
+    n = beta * S.multiplicity
+    ap = S._apery_values(S.multiplicity)
     table = {}
     for b in range(beta):
         for a in ap:
             v = b * alpha + a * beta
-            table[v % n] = (v, b, a)
+            table[v % n] = v
     if len(table) != n:
         raise CheckFailed(f"glued Apery classes of {spec} collide")
     return table
@@ -75,11 +79,17 @@ def _glued_values(spec: GluingSpec) -> dict[int, tuple[int, int, int]]:
 
 def glued_apery(spec: GluingSpec) -> list[int]:
     """Ap(T; beta*m) = {b*alpha + a*beta}, cross-checked against the oracle."""
-    values = sorted(v for v, _, _ in _glued_values(spec).values())
-    T = glue(spec)
-    if values != T.apery_set(spec.beta * spec.base.multiplicity):
+    values = sorted(_glued_values(spec).values())
+    if values != glue(spec).apery_set(spec.beta * spec.base.multiplicity):
         raise CheckFailed(f"closed-form Apery set of {spec} disagrees with the oracle")
     return values
+
+
+def _class_grid(parts, beta: int, step: int, n: int):
+    """For each a in ``parts``: the classes (beta*a + b*step) mod n for
+    0 <= b < beta, and for each b the mask of those with b' >= b."""
+    classes = [[(beta * a + b * step) % n for b in range(beta)] for a in parts]
+    return classes, [list(accumulate([1 << c for c in row[::-1]], or_))[::-1] for row in classes]
 
 
 def glued_poset(spec: GluingSpec) -> KunzPoset:
@@ -88,34 +98,39 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     b*alpha + a*beta precedes b'*alpha + a'*beta iff a precedes a' in the
     base Apery order and either b <= b' or (when alpha is itself an Apery
     element) alpha precedes a' - a.  Each base pair a, a' with a' - a in
-    Ap(S; m) emits its class pairs: O(m^2 + beta^2 * relations), not
-    O((beta*m)^2).  Before the one poset is built, its strict pairs above
-    the bottom must equal the glued semigroup's Apery order (the oracle of
-    kunz_poset_of); the closed form always holds the reflexive pairs and
-    the bottom row, so equal strict sets mean equal posets.
+    Ap(S; m) ORs a precomputed mask of the classes b'*alpha + a'*beta
+    (b' >= b, or all b' on a wrap) into the up-set row of each class
+    b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  Their
+    strict part above the bottom must equal the glued semigroup's Apery
+    order (the oracle of kunz_poset_of) folded into n rows before the one
+    poset is built; both hold the reflexive pairs and the bottom row.
     """
     S, alpha, beta = spec.base, spec.alpha, spec.beta
     m = S.multiplicity
     n = beta * m
-    ap = S.apery_set(m)
-    ap_set = set(ap)
-    alpha_in_ap = alpha in ap_set
+    ap = S._apery_values(m)
+    alpha_in_ap = alpha in ap
     table = _glued_values(spec)
-    pairs = set()
-    for a1 in ap:
-        for a2 in ap:
+    classes, suffix = _class_grid(ap, beta, alpha, n)
+    rows = [0] * n
+    for c1, a1 in enumerate(ap):
+        for c2, a2 in enumerate(ap):
             diff = a2 - a1
-            if diff not in ap_set:
+            if diff < 0 or ap[diff % m] != diff:
                 continue
-            wrap = alpha_in_ap and S.contains(diff - alpha)
-            for b1 in range(beta):
-                c1 = (b1 * alpha + a1 * beta) % n
-                for b2 in range(0 if wrap else b1, beta):
-                    pairs.add((c1, (b2 * alpha + a2 * beta) % n))
-    strict = {(c1, c2) for c1, c2 in pairs if c1 and c1 != c2}
-    if strict != set(_apery_order(glue(spec), n)[1]):
+            masks = suffix[c2]
+            if alpha_in_ap and S.contains(diff - alpha):
+                masks = [masks[0]] * beta
+            for c, mask in zip(classes[c1], masks):
+                rows[c] |= mask
+    oracle = [0] * n
+    for c1, c2 in _apery_order(glue(spec), n)[1]:
+        oracle[c1] |= 1 << c2
+    strict = [row & ~(1 << c) for c, row in enumerate(rows)]
+    strict[0] = 0
+    if strict != oracle:
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
-    return KunzPoset(n, strict, labels={c: v for c, (v, _, _) in table.items()})
+    return KunzPoset._from_rows(n, rows, labels=table)
 
 
 class EmbeddingSpec:
@@ -204,9 +219,11 @@ def extend_poset(P: KunzPoset, spec: EmbeddingSpec, augmented: bool) -> KunzPose
     bottom of P the augmented order collapses along rho: the result then
     lives on Z_n/(H' + <rho>) and is a relabelled copy of P.
 
-    Otherwise one walk over the relation of P, reflexive pairs included,
-    emits the pairs: beta*a + b*rho (a in P's ground, 0 <= b < beta) meets
-    every class of Z_n / beta*H' once, so the cost is O(beta^2 * relations).
+    Otherwise beta*a + b*rho (a in P's ground, 0 <= b < beta) meets every
+    class of Z_n / beta*H' once, and one walk over the relation of P,
+    reflexive pairs included, ORs for each a -> a' a precomputed mask of
+    the classes beta*a' + b'*rho (b' >= b, or all b' on a wrap) into the
+    bit row of each beta*a + b*rho: O(beta * relations) for n rows.
     """
     if P.modulus != spec.sub_modulus:
         raise InvalidQuotient(
@@ -219,14 +236,15 @@ def extend_poset(P: KunzPoset, spec: EmbeddingSpec, augmented: bool) -> KunzPose
         pairs = [(beta * a % n, beta * b % n) for a, b in P.relations()]
         return KunzPoset(n, pairs, subgroup=sub)
     sub = tuple(beta * h % n for h in P.subgroup)
-    pairs = []
+    classes, suffix = _class_grid(P.ground, beta, rho, n)
+    rows = [0] * n
     for a1, a2 in [(a, a) for a in P.ground] + P.relations():
-        wrap = augmented and P.leq(spec.brho_sub, a2 - a1)
-        for b1 in range(beta):
-            g1 = (beta * a1 + b1 * rho) % n
-            for b2 in range(0 if wrap else b1, beta):
-                pairs.append((g1, (beta * a2 + b2 * rho) % n))
-    return KunzPoset(n, pairs, subgroup=sub)
+        masks = suffix[a2]
+        if augmented and P.leq(spec.brho_sub, a2 - a1):
+            masks = [masks[0]] * beta
+        for c, mask in zip(classes[a1], masks):
+            rows[c] |= mask
+    return KunzPoset._from_rows(n, rows, subgroup=sub)
 
 
 def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
@@ -251,13 +269,8 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     augmented = extend_poset(P, spec, augmented=True)
     plain = extend_poset(P, spec, augmented=False)
     ray = beta_ray(spec)
-    report = {
-        "samples": len(samples),
-        "augmented_poset": True,
-        "plain_poset": True,
-        "image_dimension": True,
-        "ray_dimension": True,
-    }
+    keys = ("augmented_poset", "plain_poset", "image_dimension", "ray_dimension")
+    report = {"samples": len(samples), **dict.fromkeys(keys, True)}
     for w in samples:
         x = phi(spec, w)
         fx = face_of(x)
@@ -271,10 +284,7 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
             report["plain_poset"] = False
         if fy.dimension != F.dimension + 1:
             report["ray_dimension"] = False
-    report["passed"] = all(
-        report[key]
-        for key in ("augmented_poset", "plain_poset", "image_dimension", "ray_dimension")
-    )
+    report["passed"] = all(report[key] for key in keys)
     return report
 
 

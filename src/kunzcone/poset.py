@@ -15,6 +15,8 @@ recursion.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import NotGraded
 from .semigroup import APERY, NumericalSemigroup, _facet_scan
 
@@ -28,21 +30,9 @@ def _bits(mask: int):
 
 
 def subgroup_of(modulus: int, elements) -> tuple[int, ...]:
-    """Closure of {0} ∪ elements under addition mod ``modulus``."""
-    closed = {0}
-    frontier = {e % modulus for e in elements}
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            if a in closed:
-                continue
-            closed.add(a)
-            for b in list(closed):
-                s = (a + b) % modulus
-                if s not in closed:
-                    nxt.add(s)
-        frontier = nxt
-    return tuple(sorted(closed))
+    """Closure of {0} ∪ elements under addition mod ``modulus``: the
+    multiples of gcd(modulus, elements)."""
+    return tuple(range(0, modulus, gcd(modulus, *elements)))
 
 
 class KunzPoset:
@@ -53,16 +43,39 @@ class KunzPoset:
     representatives, the smallest member of each coset.  The validated
     subgroup is g*Z_n for its least positive member g (g = n when
     trivial), so that minimum is x mod g and ``ground`` is range(g).
-    Reflexivity and the bottom element are added automatically;
-    antisymmetry, transitivity, and difference closure (a before b forces
-    b-a before b) are validated, so malformed input fails fast with
-    ValueError.
+    Closed forms hand in one bit row per member of Z_n instead (private
+    ``_from_rows``), folded onto x mod g.  Reflexivity and the bottom
+    element are added automatically; antisymmetry, transitivity, and
+    difference closure (a before b forces b-a before b) are validated in
+    one walk over the rows for either intake, so malformed input fails
+    fast with ValueError.
 
     Equality and hashing compare modulus, subgroup, and the relation
     table only; labels are cosmetic.
     """
 
     def __init__(self, modulus: int, pairs, subgroup=(0,), labels=None):
+        up = self._reflexive(modulus, subgroup)
+        size = self._g
+        for a, b in pairs:
+            up[a % size] |= 1 << b % size
+        self._validate(up, labels)
+
+    @classmethod
+    def _from_rows(cls, modulus: int, rows, subgroup=(0,), labels=None) -> "KunzPoset":
+        """As ``__init__`` with the pairs x -> y, y in rows[x], over Z_n."""
+        self = cls.__new__(cls)
+        up = self._reflexive(modulus, subgroup)
+        size, low = self._g, (1 << self._g) - 1
+        for x, row in enumerate(rows):
+            while row:
+                up[x % size] |= row & low
+                row >>= size
+        self._validate(up, labels)
+        return self
+
+    def _reflexive(self, modulus: int, subgroup) -> list[int]:
+        """Validate the subgroup, set the ground and return its reflexive rows."""
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         self.modulus = modulus
@@ -77,34 +90,35 @@ class KunzPoset:
         # so the coset minimum of x is x mod g and class i is ground[i] = i
         size = self._g = self.subgroup[1] if len(sub) > 1 else modulus
         self.ground = tuple(range(size))
+        return [1 << i for i in range(size)]
 
-        up = [1 << i for i in range(size)]
+    def _validate(self, up: list[int], labels) -> None:
+        """Add the bottom row, then check every strict relation i -> j of
+        the reflexive rows ``up`` in one walk, filling the down-sets."""
+        size = len(up)
         up[0] = (1 << size) - 1
-        for a, b in pairs:
-            up[a % size] |= 1 << b % size
         self._up = up
-
-        down = [0] * size
+        down = [1 << i for i in range(size)]
         for i, row in enumerate(up):
-            for j in _bits(row):
-                down[j] |= 1 << i
-                if j == i:
-                    continue
-                if up[j] >> i & 1:
-                    raise ValueError(f"antisymmetry fails between classes {i} and {j}")
-                if up[j] & ~row:
+            bit = 1 << i
+            outside = ~row | bit
+            rest = row ^ bit
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                down[j] |= bit
+                if up[j] & outside:
+                    if up[j] & bit:
+                        raise ValueError(f"antisymmetry fails between classes {i} and {j}")
                     raise ValueError(f"relation is not transitive at class {i}")
-                if not up[(j - i) % size] >> j & 1:
+                if not up[j - i] & low:  # j - i wraps mod size as a negative index
                     raise ValueError(
                         f"difference closure fails: {i} precedes "
                         f"{j} but their difference class does not"
                     )
         self._down = down
-
-        if labels is None:
-            self.labels = None
-        else:
-            self.labels = tuple(int(labels[g]) for g in self.ground)
+        self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
 
     # -- queries ---------------------------------------------------------
 
@@ -125,9 +139,12 @@ class KunzPoset:
         down = self._down
         out = []
         for i, row in enumerate(self._up):
-            strict_up = row & ~(1 << i)
-            for j in _bits(strict_up):
-                if not strict_up & down[j] & ~(1 << j):
+            rest = strict_up = row & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if not strict_up & down[j] & ~low:
                     out.append((i, j))
         return out
 

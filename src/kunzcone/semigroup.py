@@ -140,6 +140,9 @@ class NumericalSemigroup:
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
 
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild from the generators
+        return NumericalSemigroup, (self.generators,)
+
     def __repr__(self):
         return f"NumericalSemigroup({list(self.generators)})"
 

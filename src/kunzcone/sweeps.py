@@ -154,6 +154,7 @@ def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5, bases: int = 12)
         S = random_semigroup(rng, max_m, min_m=3)
         m = S.multiplicity
         ap = set(S.apery_set(m))
+        base_poset = kunz_poset_of(S, m)
         top = S.frobenius() + 2 * m
         for beta in range(2, max_beta + 1):
             for alpha in range(1, top + 1):
@@ -173,7 +174,7 @@ def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5, bases: int = 12)
                     continue
                 emb = EmbeddingSpec(n, beta, alpha % n)
                 checks += 1
-                if extend_poset(kunz_poset_of(S, m), emb, augmented=alpha in ap) != P:
+                if extend_poset(base_poset, emb, augmented=alpha in ap) != P:
                     failures.append(f"extension bridge {tag}")
                 checks += 1
                 triple = factor_monoscopic(T)
@@ -207,7 +208,29 @@ def suite_embedding(seed: int, count: int = 25, max_n: int = 24) -> dict:
     return _report("embedding", seed, checks, failures)
 
 
+# (least, greatest) value of each size a suite reads: multiplicities start at 2
+# (3 for gluing bases); the largest sizes make sweeps of a few tens of seconds
+MAX_M, MAX_BETA = 400, 20
+SIZE_BOUNDS = {
+    "roundtrip": {"max_m": (2, MAX_M)},
+    "ega": {"max_m": (2, MAX_M)},
+    "gluing": {"max_m": (3, MAX_M), "max_beta": (2, MAX_BETA)},
+}
+
+
+def size_error(name: str, **sizes):
+    """The first of the size arguments ``sizes`` that suite ``name`` reads
+    and that is out of its bounds, as (argument, comparison, bound), or None."""
+    for arg, (least, most) in SIZE_BOUNDS.get(name, {}).items():
+        if not least <= sizes[arg] <= most:
+            return (arg, ">=", least) if sizes[arg] < least else (arg, "<=", most)
+    return None
+
+
 def run_suite(name: str, seed: int, max_m: int = 15, max_beta: int = 5) -> dict:
+    bad = size_error(name, max_m=max_m, max_beta=max_beta)
+    if bad is not None:
+        raise ValueError("suite {} needs {} {} {}".format(name, *bad))
     if name == "roundtrip":
         return suite_roundtrip(seed, max_m=max_m)
     if name == "ega":

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from kunzcone.cli import main
+from kunzcone import cli, run_suite
+from kunzcone.cli import MAX_EMBED_N, main
+from kunzcone.sweeps import MAX_BETA, MAX_M
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +144,23 @@ class TestEmbed:
         )
 
 
+    def test_huge_modulus_is_two(self, capsys, monkeypatch):
+        # refused before the n-entry tables are built
+        def never(*args, **kwargs):
+            raise AssertionError("EmbeddingSpec reached")
+
+        monkeypatch.setattr(cli, "EmbeddingSpec", never)
+        code, out, err = run_cli(capsys, "embed", "--n", str(10**12), "--hgen", "3", "--rho", "7")
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: embed needs --n <= {MAX_EMBED_N}\n"
+
+    def test_largest_modulus_runs(self, capsys):
+        data = run_json(capsys, "embed", "--n", str(MAX_EMBED_N), "--hgen", "2", "--rho", "1")
+        assert data["beta"] == 2
+        assert len(data["beta_ray"]) == MAX_EMBED_N
+
+
 class TestVerify:
     def test_roundtrip_suite(self, capsys):
         code, out, _ = run_cli(
@@ -183,10 +202,65 @@ class TestVerify:
         assert data["checks"] > 0
         assert data["failures"] == 0
 
+    @pytest.mark.parametrize(
+        "suite, flags, message",
+        [
+            ("roundtrip", ["--max-m", str(10**12)], f"needs --max-m <= {MAX_M}"),
+            ("ega", ["--max-m", str(10**12)], f"needs --max-m <= {MAX_M}"),
+            ("gluing", ["--max-m", str(10**12)], f"needs --max-m <= {MAX_M}"),
+            ("gluing", ["--max-beta", str(10**12)], f"needs --max-beta <= {MAX_BETA}"),
+        ],
+    )
+    def test_sizes_too_large_are_two(self, capsys, monkeypatch, suite, flags, message):
+        # refused before any sweep starts: the suite itself must never run
+        def never(*args, **kwargs):
+            raise AssertionError("run_suite reached")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: verify --suite {suite} {message}\n"
+
+    def test_largest_sizes_are_accepted(self, capsys, monkeypatch):
+        seen = []
+
+        def record(name, seed, **sizes):
+            seen.append(sizes)
+            return {"failures": 0}
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        argv = ["--max-m", str(MAX_M), "--max-beta", str(MAX_BETA)]
+        code, _, err = run_cli(capsys, "verify", "--suite", "gluing", *argv)
+        assert code == 0, err
+        assert seen == [{"max_m": MAX_M, "max_beta": MAX_BETA}]
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "ega", "--seed", "3", "--max-m", "8")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "ega", "--seed", "3", "--max-m", "8")
         assert out1 == out2
+
+
+class TestRunSuiteBounds:
+    # the library entry point refuses the sizes the CLI refuses
+    @pytest.mark.parametrize(
+        "suite, sizes, message",
+        [
+            ("roundtrip", {"max_m": 1}, "suite roundtrip needs max_m >= 2"),
+            ("gluing", {"max_beta": 1}, "suite gluing needs max_beta >= 2"),
+            ("ega", {"max_m": 1}, "suite ega needs max_m >= 2"),
+            ("gluing", {"max_m": 2}, "suite gluing needs max_m >= 3"),
+            ("roundtrip", {"max_m": 10**12}, f"suite roundtrip needs max_m <= {MAX_M}"),
+            ("gluing", {"max_beta": 10**12}, f"suite gluing needs max_beta <= {MAX_BETA}"),
+        ],
+    )
+    def test_out_of_bounds_raise(self, suite, sizes, message):
+        with pytest.raises(ValueError) as info:
+            run_suite(suite, 0, **sizes)
+        assert str(info.value) == message
+
+    def test_embedding_reads_no_size(self):
+        assert run_suite("embedding", 0, max_m=1, max_beta=1)["checks"] > 0
 
 
 class TestExitCodes:

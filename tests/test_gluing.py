@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -81,6 +82,31 @@ class TestGluingSpec:
         assert glue(plain_spec).generators == (12, 39, 43, 54)
         assert glue(augmented_spec).generators == (12, 31, 39, 54)
 
+    def test_glued_semigroup_built_once(self, monkeypatch):
+        built = []
+
+        class Counting(NumericalSemigroup):
+            def __init__(self, generators):
+                built.append(tuple(generators))
+                super().__init__(generators)
+
+        monkeypatch.setattr(gluing, "NumericalSemigroup", Counting)
+        spec = GluingSpec(BASE, 31, 3)
+        T = glue(spec)
+        glued_apery(spec)
+        glued_poset(spec)
+        assert glue(spec) is T
+        assert built == [(31, 12, 39, 54)]
+
+    def test_glued_semigroup_is_not_a_field(self):
+        spec = GluingSpec(BASE, 31, 3)
+        assert repr(spec) == "GluingSpec(base=NumericalSemigroup([4, 13, 18]), alpha=31, beta=3)"
+        assert spec == GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3)
+        assert spec != GluingSpec(BASE, 43, 3)
+        assert hash(spec) == hash((BASE, 31, 3))
+        assert [f.name for f in dataclasses.fields(spec)] == ["base", "alpha", "beta"]
+        assert dataclasses.asdict(spec) == {"base": BASE, "alpha": 31, "beta": 3}
+
 
 class TestGluedApery:
     def test_golden(self, augmented_spec):
@@ -134,8 +160,7 @@ real = gluing._glued_values
 
 def corrupted(spec):
     table = dict(real(spec))
-    v, b, a = table[1]
-    table[1] = (v + spec.beta * spec.base.multiplicity, b, a)
+    table[1] += spec.beta * spec.base.multiplicity
     return table
 
 gluing._glued_values = corrupted
@@ -200,6 +225,32 @@ sys.exit(1)
             "closed-form poset of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
             "alpha=31, beta=3) disagrees with the oracle\n"
         )
+
+    @pytest.mark.parametrize("alpha", [31, 43])
+    def test_closed_form_rows_corrupted_by_one_bit(self, monkeypatch, alpha):
+        # flip each bit of each precomputed mask in turn: the oracle
+        # comparison must refuse every flip that changes the order, so a
+        # poset that comes out is always the true one
+        spec = GluingSpec(BASE, alpha, 3)
+        true = glued_poset(spec)
+        real = gluing._class_grid
+        flips = [(a, b, bit) for a in range(4) for b in range(3) for bit in range(12)]
+        refused = 0
+        for a, b, bit in flips:
+            def corrupted(*args):
+                classes, suffix = real(*args)
+                suffix[a][b] ^= 1 << bit
+                return classes, suffix
+
+            monkeypatch.setattr(gluing, "_class_grid", corrupted)
+            try:
+                P = glued_poset(spec)
+            except CheckFailed as exc:
+                assert "disagrees with the oracle" in str(exc)
+                refused += 1
+            else:
+                assert P == true and P.labels == true.labels, (a, b, bit)
+        assert refused > len(flips) // 2
 
     def test_augmented_extras_golden(self, plain_spec, augmented_spec):
         P1 = glued_poset(plain_spec)

@@ -160,6 +160,33 @@ class TestConstructorAgainstOracle:
         assert accepted > 300 and rejected > 300
 
 
+    def test_row_intake_matches_pair_intake(self):
+        # the same 2,000 sets as rows over Z_n: for d > 1 the rows are
+        # folded onto x mod d, so every subgroup d*Z_n exercises the fold
+        rng = random.Random(61)
+        folded = 0
+        for _ in range(2000):
+            n = rng.randint(2, 9)
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            subgroup = range(0, n, d)
+            pairs = [
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+            ]
+            rows = [0] * n
+            for a, b in pairs:
+                rows[a] |= 1 << b
+            outcomes = []
+            for build, relation in ((KunzPoset, pairs), (KunzPoset._from_rows, rows)):
+                try:
+                    P = build(n, relation, subgroup=subgroup)
+                    outcomes.append((P.subgroup, P.ground, P.relations(), P.covers()))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, d, pairs)
+            folded += d < n and any(rows[d:])
+        assert folded > 300
+
+
 class TestLongChain:
     # <1000, 1999>: class c holds (-c mod 1000) * 1999, so the poset is the
     # chain 0 < 999 < 998 < ... < 1, deeper than the recursion limit

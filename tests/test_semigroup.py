@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -70,6 +72,15 @@ class TestConstruction:
         S = NumericalSemigroup([4, 13, 18])
         with pytest.raises(AttributeError):
             S.generators = (2, 3)
+
+    def test_copies_and_pickles(self):
+        # immutable, so copies rebuild from the generators rather than
+        # setting attributes one by one
+        S = NumericalSemigroup([4, 13, 18])
+        for T in (copy.copy(S), copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
+            assert T == S
+            assert T.apery_set(4) == [0, 13, 18, 31]
+            assert T.contains(31) and not T.contains(27)
 
     def test_basic_properties(self):
         S = NumericalSemigroup([4, 13, 18])
