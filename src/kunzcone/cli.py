@@ -27,8 +27,9 @@ from .semigroup import APERY, KUNZ, NumericalSemigroup
 from .sweeps import SUITES, run_suite, size_error
 
 
-# the largest embed --n accepted: its tables and JSON output hold n entries
-MAX_EMBED_N = 10_000
+# the largest --m and embed --n accepted: their tables and JSON output
+# hold that many entries
+MAX_MODULUS = MAX_EMBED_N = 10_000
 
 
 def _int_list(text: str) -> list[int]:
@@ -112,6 +113,8 @@ def _semigroup(args) -> NumericalSemigroup:
 
 
 def _modulus(args, S: NumericalSemigroup) -> int:
+    if args.m is not None and args.m > MAX_MODULUS:
+        raise _UsageError(f"{args.command} needs --m <= {MAX_MODULUS}")
     return args.m if args.m is not None else S.multiplicity
 
 

@@ -4,6 +4,15 @@ A face is stored as the set of facet index pairs (i, j) that hold with
 equality; the subgroup, poset, and dimension are derived from that set by
 exact integer linear algebra.  Ray or vertex enumeration is deliberately
 absent: every theorem implemented here needs only the equality data.
+
+The tight pairs also live as Z_n bit rows up[a] = {a+u : (a, u) tight},
+read by the poset, the consistency walk and the echelon's row choice.
+The row r(a, w) = e_a + e_w - e_{a+w} of a tight pair satisfies
+r(a, w) = r(a, u) + r(a+u, v) - r(u, v) for w = u + v, so
+``_spanning_pairs`` leaves it out when (a, u), (a+u, v) and (u, v) are
+all tight and w has a place in a Kahn order of a -> a+u (w is on or
+above no cycle) that is at or before a's; u and v precede w, so by
+induction on that place every row left out is in the span of the rest.
 """
 
 from __future__ import annotations
@@ -28,11 +37,12 @@ class ConeFace:
     that force some recorded-strict facet) before subgroup or poset extraction.
 
     Dimension, subgroup and the span test all come from one reduced
-    integer echelon of the tight equality rows.  The dimension is n-1
-    minus its rank.  A class h lies in the Kunz subgroup when the unit
-    vector e_h is in the row space, and in reduced form that holds
-    exactly when column h-1 is a pivot whose row has no other entries,
-    so the subgroup is read off the echelon without further queries.
+    integer echelon, fed the spanning tight rows of the module docstring
+    in Kahn order of their target a+w, so most new pivots land on a fresh
+    column.  The dimension is n-1 minus its rank.  A class h lies in the
+    Kunz subgroup when e_h is in the row space, and in reduced form that
+    holds exactly when column h-1 is a pivot whose row has no other
+    entries, so the subgroup is read off the echelon without queries.
     """
 
     def __init__(self, modulus: int, tight, trusted: bool = False):
@@ -40,15 +50,20 @@ class ConeFace:
             raise ValueError("modulus must be at least 2")
         n = modulus
         sym = set()
+        up = [0] * n
         for i, j in tight:
             i %= n
             j %= n
-            if i == 0 or j == 0 or (i + j) % n == 0:
+            t = (i + j) % n
+            if i == 0 or j == 0 or t == 0:
                 raise ValueError(f"({i},{j}) does not index a facet of C(Z_{n})")
             sym.add((i, j))
             sym.add((j, i))
+            up[i] |= 1 << t
+            up[j] |= 1 << t
         self.modulus = n
         self.tight = frozenset(sym)
+        self._up = up
         self._trusted = trusted
         self._echelon = None
         self._subgroup = None
@@ -72,8 +87,7 @@ class ConeFace:
         return sorted((i, j) for i, j in self.tight if i <= j)
 
     def _equality(self, i: int, j: int) -> dict[int, int]:
-        """Equality row of facet (i,j) over coordinates x_1..x_{n-1}, as
-        {column: coefficient} with column c standing for x_{c+1}."""
+        """Row of facet (i,j) as {column c: coefficient of x_{c+1}}."""
         row = {i - 1: 1}
         row[j - 1] = row.get(j - 1, 0) + 1
         row[(i + j) % self.modulus - 1] = -1
@@ -82,8 +96,8 @@ class ConeFace:
     def _tight_echelon(self) -> IntegerEchelon:
         if self._echelon is None:
             ech = IntegerEchelon(self.modulus - 1)
-            for i, j in self.canonical_tight():
-                ech.add(self._equality(i, j))
+            for a, w in _spanning_pairs(self.modulus, self._up):
+                ech.add(self._equality(a, w))
             self._echelon = ech
         return self._echelon
 
@@ -97,10 +111,9 @@ class ConeFace:
 
         Two sound (not complete) detectors: a strict facet's row in the
         span of the tight rows, and the Kunz order's transitivity walked on
-        Z_n bit rows, up[a] = {a} + {a+u : (a, u) tight}, since tight (a, u)
-        and (a+u, v) force (a, u+v).  Difference closure holds because the
-        tight set is symmetric; antisymmetry is not asked, as classes
-        pinned to zero form cycles on Z_n.
+        the rows up[a], since tight (a, u) and (a+u, v) force (a, u+v).
+        Difference closure holds because the tight set is symmetric;
+        antisymmetry is not asked, as classes pinned to zero form cycles.
         """
         n = self.modulus
         ech = self._tight_echelon()
@@ -110,12 +123,10 @@ class ConeFace:
                     raise InconsistentFace(
                         f"equalities force facet ({i},{j}) which is recorded strict"
                     )
-        up = [1 << a for a in range(n)]
-        for a, u in self.tight:
-            up[a] |= 1 << (a + u) % n
+        up = self._up
         for a in range(1, n):
-            for b in _bits(up[a] & ~(1 << a)):
-                missing = up[b] & ~up[a]
+            for b in _bits(up[a]):
+                missing = up[b] & ~up[a] & ~(1 << a)
                 if missing:
                     c = (missing & -missing).bit_length() - 1
                     raise InconsistentFace(
@@ -138,10 +149,8 @@ class ConeFace:
         """Order on Z_n / H with a before a+j for every tight pair (a, j)."""
         if self._poset is None:
             sub = self.kunz_subgroup
-            n = self.modulus
-            pairs = [(i, (i + j) % n) for i, j in self.tight]
             try:
-                self._poset = KunzPoset(n, pairs, subgroup=sub)
+                self._poset = KunzPoset._from_rows(self.modulus, self._up, subgroup=sub)
             except ValueError as exc:
                 raise InconsistentFace(
                     f"tight set does not induce a partial order: {exc}"
@@ -155,6 +164,34 @@ class ConeFace:
             "dimension": self.dimension,
             "subgroup": list(self.kunz_subgroup),
         }
+
+
+def _spanning_pairs(n: int, up: list[int]) -> list[tuple[int, int]]:
+    """Tight pairs (a, w) whose rows span all tight rows, in Kahn order of
+    a+w; w is at or before a, and pairs are left out as the module says."""
+    order, rest, layer = [], list(range(1, n)), True
+    while layer:  # Kahn by layers; what stays in rest is on or above a cycle
+        reach = 0
+        for a in rest:
+            reach |= up[a]
+        layer = [b for b in rest if not reach >> b & 1]
+        order += layer
+        rest = [b for b in rest if reach >> b & 1]
+    pos = {b: i for i, b in enumerate(order)}
+    # doubled masks: (x | x << n) >> (n - a) holds x rotated by a in its low n bits
+    finite = sum(1 << b for b in order) * ((1 << n) + 1)
+    dbl = [row | row << n for row in up]
+    before, kept = 0, []
+    for a in order + rest:
+        before |= 1 << a
+        s = n - a
+        own = up[a] & (before | before << n) >> s
+        implied = 0  # targets a+w in up[k] with (k-a, a+w-k) tight, k in up[a]
+        for k in _bits(up[a]):
+            implied |= up[k] & dbl[k - a] >> s
+        for t in _bits(own & ~(implied & finite >> s)):
+            kept.append((pos.get(t, n), a, (t - a) % n))
+    return [(a, w) for _, a, w in sorted(kept)]
 
 
 def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:

@@ -68,7 +68,8 @@ def dp_apery(generators, modulus):
             found[n % modulus] = n
             if len(found) == modulus:
                 break
-    assert len(found) == modulus, "gcd of generators must be 1"
+    if len(found) != modulus:
+        raise ValueError("gcd of generators must be 1")
     return [found[c] for c in range(modulus)]
 
 
@@ -77,7 +78,8 @@ def dp_frobenius(generators):
     limit = max(dp_apery(generators, max(generators)))
     table = dp_members(generators, limit)
     gaps = [n for n in range(limit + 1) if not table[n]]
-    assert gaps, "semigroup has no gaps"
+    if not gaps:
+        raise ValueError("semigroup has no gaps")
     return max(gaps)
 
 
@@ -194,7 +196,8 @@ def extend_relation(P, n, beta, rho, augmented):
         return (min((x + h) % m for h in p_sub), min((y + h) % m for h in p_sub)) in p_rel
 
     parts = {(beta * a + b * rho) % n: (a, b) for a in range(m) for b in range(beta)}
-    assert len(parts) == n, "rho must generate Z_n modulo the multiples of beta"
+    if len(parts) != n:
+        raise ValueError("rho must generate Z_n modulo the multiples of beta")
     brho = parts[beta * rho % n][0]
     rel = set()
     for g1 in range(n):

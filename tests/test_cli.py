@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from kunzcone import cli, run_suite
-from kunzcone.cli import MAX_EMBED_N, main
+from kunzcone import cli, run_suite, semigroup
+from kunzcone.cli import MAX_EMBED_N, MAX_MODULUS, main
 from kunzcone.sweeps import MAX_BETA, MAX_M
 
 
@@ -159,6 +159,29 @@ class TestEmbed:
         data = run_json(capsys, "embed", "--n", str(MAX_EMBED_N), "--hgen", "2", "--rho", "1")
         assert data["beta"] == 2
         assert len(data["beta_ray"]) == MAX_EMBED_N
+
+
+class TestModulusBound:
+    @pytest.mark.parametrize("command", ["apery", "poset", "face"])
+    def test_huge_m_is_two(self, capsys, monkeypatch, command):
+        # refused before apery_by_class allocates an m-entry table
+        def never(*args, **kwargs):
+            raise AssertionError("apery_by_class reached")
+
+        S = semigroup.NumericalSemigroup([3, 5])
+        monkeypatch.setattr(semigroup, "apery_by_class", never)
+        monkeypatch.setattr(cli, "NumericalSemigroup", lambda gens: S)
+        code, out, err = run_cli(capsys, command, "--gens", "3,5", "--m", str(10**12))
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {command} needs --m <= {MAX_MODULUS}\n"
+
+    def test_largest_m_runs(self, capsys):
+        data = run_json(capsys, "apery", "--gens", "3,5", "--m", str(MAX_MODULUS))
+        assert data["modulus"] == MAX_MODULUS == MAX_EMBED_N
+        assert len(data["apery"]) == len(data["kunz"]) == MAX_MODULUS
+        # the class of 1 is first reached at m + 1, so its Kunz coordinate is 1
+        assert data["kunz"][1] == 1
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from kunzcone import cone
 from kunzcone import (
     APERY,
     CONE,
@@ -268,6 +269,85 @@ class TestUntrustedRebuild:
             x = CoordTuple(n, APERY, tuple(a[i % d] + b[i % d] for i in range(n)))
             face = self._rebuilt_matches(x)
             assert face.kunz_subgroup == tuple(range(0, n, d))
+
+
+def _pinned_point(rng, n, d):
+    """x_i = a_{i mod d} + b_{i mod d} for Apery tuples a, b over Z_d: a cone
+    point over Z_n that vanishes exactly on the multiples of d."""
+    a, b = (
+        random_semigroup_with_multiplicity(rng, d).coordinates(d, APERY).entries
+        for _ in range(2)
+    )
+    return CoordTuple(n, APERY, tuple(a[i % d] + b[i % d] for i in range(n)))
+
+
+class TestSpanningRows:
+    """The face echelon sees only a spanning subset of the tight rows; its
+    answers must be those of an echelon fed every tight row."""
+
+    @staticmethod
+    def _tight_sets():
+        for n in range(2, 7):
+            facets = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+            for mask in range(1 << len(facets)):
+                yield n, [f for b, f in enumerate(facets) if mask >> b & 1]
+        rng = random.Random(131)
+        for k in range(2000):
+            n = rng.randint(7, 14)
+            divisors = [d for d in range(2, n) if n % d == 0]
+            if k % 4 == 0:
+                # random sets: mostly neither transitive nor consistent
+                facets = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+                yield n, rng.sample(facets, rng.randint(0, len(facets)))
+            elif k % 4 == 1 or not divisors:
+                S = random_semigroup_with_multiplicity(rng, n)
+                yield n, face_of(S.coordinates(n, rng.choice([APERY, KUNZ]))).tight
+            else:
+                # cyclic relations: the classes of d*Z_n are pinned to zero
+                yield n, face_of(_pinned_point(rng, n, rng.choice(divisors))).tight
+
+    def test_face_echelon_matches_full_echelon(self):
+        kinds = {"pinned": 0, "rejected": 0}
+        for n, tight in self._tight_sets():
+            F = ConeFace(n, tight)
+            full = IntegerEchelon(n - 1)
+            for i, j in F.canonical_tight():
+                full.add(_facet_row(n, i, j))
+            ech = F._tight_echelon()
+            assert ech.rank == full.rank, (n, tight)
+            assert ech.unit_columns() == full.unit_columns(), (n, tight)
+            for i in range(1, n):
+                for j in range(i, n):
+                    if (i + j) % n:
+                        row = _facet_row(n, i, j)
+                        assert ech.contains(row) == full.contains(row), (n, tight, i, j)
+            kinds["pinned"] += bool(full.unit_columns())
+            try:
+                F.kunz_subgroup
+            except InconsistentFace:
+                kinds["rejected"] += 1
+        assert kinds["pinned"] > 500 and kinds["rejected"] > 500, kinds
+
+    def test_large_faces_send_few_rows(self, monkeypatch):
+        sent = []
+
+        class Counting(IntegerEchelon):
+            def add(self, row):
+                sent[-1] += 1
+                return super().add(row)
+
+        monkeypatch.setattr(cone, "IntegerEchelon", Counting)
+        gens = [[40, g] for g in range(41, 120) if gcd(40, g) == 1]
+        gens += [[40, 41, 42], [40, 53, 107], [64, 65, 66]]
+        for g in gens:
+            S = NumericalSemigroup(g)
+            F = face_of(S.coordinates(S.multiplicity, APERY))
+            sent.append(0)
+            assert F.dimension == (S.multiplicity - 1) - integer_rank(
+                [_facet_row(S.multiplicity, i, j) for i, j in F.canonical_tight()],
+                S.multiplicity - 1,
+            )
+            assert sent[-1] <= len(F.canonical_tight()) // 4, (g, sent[-1])
 
 
 class TestTightIntersection:
