@@ -102,8 +102,9 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     (b' >= b, or all b' on a wrap) into the up-set row of each class
     b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  Their
     strict part above the bottom must equal the glued semigroup's Apery
-    order (the oracle of kunz_poset_of) folded into n rows before the one
-    poset is built; both hold the reflexive pairs and the bottom row.
+    order (the oracle of kunz_poset_of) folded into n rows, and the labels
+    must match its Apery values class by class, before the one poset is
+    built; both hold the reflexive pairs and the bottom row.
     """
     S, alpha, beta = spec.base, spec.alpha, spec.beta
     m = S.multiplicity
@@ -123,13 +124,16 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
                 masks = [masks[0]] * beta
             for c, mask in zip(classes[c1], masks):
                 rows[c] |= mask
+    values, pairs = _apery_order(glue(spec), n)
     oracle = [0] * n
-    for c1, c2 in _apery_order(glue(spec), n)[1]:
+    for c1, c2 in pairs:
         oracle[c1] |= 1 << c2
     strict = [row & ~(1 << c) for c, row in enumerate(rows)]
     strict[0] = 0
     if strict != oracle:
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
+    if table != dict(enumerate(values)):
+        raise CheckFailed(f"closed-form Apery labels of {spec} disagree with the oracle")
     return KunzPoset._from_rows(n, rows, labels=table)
 
 

@@ -1,9 +1,11 @@
 """Seeded verification sweeps for the CLI verify subcommand.
 
 Each suite replays a family of closed-form results against the
-brute-force side of the library (Dijkstra Apery sets, exact rank) and
-reports check/failure counts.  All randomness flows through one seeded
-Random instance, so output is reproducible byte for byte.
+brute-force side of the library (Dijkstra Apery sets, exact rank).  One
+recorder counts the checks of a run and keeps a label for each failed
+one, formatted only on a miss; its report holds the count, the number
+of failures and the first 20 labels.  All randomness flows through one
+seeded Random instance, so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -32,19 +34,9 @@ from .gluing import (
     verify_face_image,
 )
 from .poset import kunz_poset_of
-from .semigroup import (
-    APERY,
-    KUNZ,
-    NumericalSemigroup,
-    from_kunz_tuple,
-)
+from .semigroup import APERY, KUNZ, NumericalSemigroup, from_kunz_tuple
 
 SUITES = ("roundtrip", "ega", "gluing", "embedding")
-
-
-def random_semigroup(rng: random.Random, max_m: int, min_m: int = 2) -> NumericalSemigroup:
-    """Random semigroup with multiplicity in [min_m, max_m]."""
-    return random_semigroup_with_multiplicity(rng, rng.randint(min_m, max_m))
 
 
 def random_semigroup_with_multiplicity(rng: random.Random, m: int) -> NumericalSemigroup:
@@ -54,22 +46,17 @@ def random_semigroup_with_multiplicity(rng: random.Random, m: int) -> NumericalS
     gens = {m}
     for _ in range(rng.randint(1, max(2, m // 2))):
         gens.add(rng.randint(m + 1, 3 * m - 1))
-    acc = 0
-    for v in gens:
-        acc = gcd(acc, v)
-    while acc != 1:
-        g = rng.randint(m + 1, 3 * m - 1)
-        gens.add(g)
-        acc = gcd(acc, g)
+    while gcd(*gens) != 1:
+        gens.add(rng.randint(m + 1, 3 * m - 1))
     return NumericalSemigroup(gens)
 
 
-def iter_ega_params(max_a: int, max_h: int, d_factor: int = 2):
-    """All valid parameter tuples with a <= max_a, h <= max_h, |d| <= d_factor*a."""
+def iter_ega_params(max_a: int, max_h: int):
+    """All valid parameter tuples with a <= max_a, h <= max_h, |d| <= a."""
     for a in range(2, max_a + 1):
         for k in range(1, a):
             for h in range(1, max_h + 1):
-                for dd in range(1, d_factor * a + 1):
+                for dd in range(1, a + 1):
                     for d in (dd, -dd):
                         try:
                             yield EgaParams(a, h, k, d)
@@ -77,81 +64,82 @@ def iter_ega_params(max_a: int, max_h: int, d_factor: int = 2):
                             continue
 
 
-def _report(suite: str, seed: int, checks: int, failures: list) -> dict:
-    return {
-        "suite": suite,
-        "seed": seed,
-        "checks": checks,
-        "failures": len(failures),
-        "failed_checks": failures[:20],
-    }
+class _Audit:
+    """Check count and failure labels of one suite run."""
+
+    def __init__(self, suite: str, seed: int):
+        self.suite, self.seed, self.checks, self.failures = suite, seed, 0, []
+
+    def check(self, ok, label: str, *args) -> bool:
+        """Count one check; on a miss keep ``label.format(*args)``."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(label.format(*args))
+        return ok
+
+    def report(self) -> dict:
+        return {
+            "suite": self.suite,
+            "seed": self.seed,
+            "checks": self.checks,
+            "failures": len(self.failures),
+            "failed_checks": self.failures[:20],
+        }
 
 
-def suite_roundtrip(seed: int, max_m: int = 15, count: int = 200) -> dict:
-    """Kunz-tuple reconstruction, face/poset agreement, automorphism action."""
+def suite_roundtrip(seed: int, max_m: int = 15) -> dict:
+    """Kunz-tuple reconstruction, face/poset agreement and automorphism
+    action on 200 random semigroups."""
     rng = random.Random(seed)
-    checks = 0
-    failures: list[str] = []
-    for _ in range(count):
-        S = random_semigroup(rng, max_m)
+    audit = _Audit("roundtrip", seed)
+    for _ in range(200):
+        S = random_semigroup_with_multiplicity(rng, rng.randint(2, max_m))
         m = S.multiplicity
-        checks += 1
-        if from_kunz_tuple(m, S.coordinates(m, KUNZ)) != S:
-            failures.append(f"kunz round trip {S}")
+        audit.check(from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S, "kunz round trip {}", S)
         face = face_of(S.coordinates(m, APERY))
-        checks += 1
-        if face.kunz_subgroup != (0,) or face.kunz_poset != kunz_poset_of(S, m):
-            failures.append(f"face data of {S}")
-        units = [u for u in range(1, m) if gcd(u, m) == 1]
-        u = rng.choice(units)
-        checks += 1
-        if apply_automorphism(apply_automorphism(face, u), pow(u, -1, m)) != face:
-            failures.append(f"automorphism round trip {S} u={u}")
-    return _report("roundtrip", seed, checks, failures)
+        ok = face.kunz_subgroup == (0,) and face.kunz_poset == kunz_poset_of(S, m)
+        audit.check(ok, "face data of {}", S)
+        u = rng.choice([u for u in range(1, m) if gcd(u, m) == 1])
+        ok = apply_automorphism(apply_automorphism(face, u), pow(u, -1, m)) == face
+        audit.check(ok, "automorphism round trip {} u={}", S, u)
+    return audit.report()
 
 
-def suite_ega(seed: int, max_m: int = 12, max_h: int = 2) -> dict:
-    """Membership, Frobenius, grid poset, dimension, and rays vs the oracle."""
-    checks = 0
-    failures: list[str] = []
-    for p in iter_ega_params(max_m, max_h, d_factor=1):
-        tag = f"(a={p.a},h={p.h},k={p.k},d={p.d})"
+def suite_ega(seed: int, max_m: int = 12) -> dict:
+    """Membership, Frobenius, grid poset, dimension, and rays vs the oracle,
+    for every parameter tuple with h <= 2."""
+    audit = _Audit("ega", seed)
+    tag = " (a={0.a},h={0.h},k={0.k},d={0.d})"
+    for p in iter_ega_params(max_m, 2):
         S = NumericalSemigroup(p.generators)
         x = S.coordinates(p.a, APERY)
         dist = x.entries
-        frob = max(dist) - p.a
-        checks += 1
-        if ega_frobenius(p) != frob:
-            failures.append(f"frobenius {tag}")
-        checks += 1
+        audit.check(ega_frobenius(p) == max(dist) - p.a, "frobenius" + tag, p)
         ok = all(
             ega_contains(p, dist[c]) and (dist[c] < p.a or not ega_contains(p, dist[c] - p.a))
             for c in range(p.a)
         )
-        if not ok:
-            failures.append(f"membership boundary {tag}")
-        checks += 1
-        if ega_kunz_poset(p.a, p.k, p.d) != kunz_poset_of(S, p.a):
-            failures.append(f"grid poset {tag}")
-        checks += 1
-        if ega_face_dimension(p.a, p.k) != face_of(x).dimension:
-            failures.append(f"face dimension {tag}")
+        audit.check(ok, "membership boundary" + tag, p)
+        audit.check(ega_kunz_poset(p.a, p.k, p.d) == kunz_poset_of(S, p.a), "grid poset" + tag, p)
+        audit.check(ega_face_dimension(p.a, p.k) == face_of(x).dimension, "face dimension" + tag, p)
         if 1 < p.k < p.a - 2 and p.h == 1:
-            checks += 1
             try:
                 ega_rays(p)
+                ok = True
             except CheckFailed:
-                failures.append(f"rays {tag}")
-    return _report("ega", seed, checks, failures)
+                ok = False
+            audit.check(ok, "rays" + tag, p)
+    return audit.report()
 
 
-def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5, bases: int = 12) -> dict:
-    """Closed-form Apery/poset of gluings, the extension bridge, factoring."""
+def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5) -> dict:
+    """Closed-form Apery/poset of gluings, the extension bridge and
+    factoring, on 12 random bases."""
     rng = random.Random(seed)
-    checks = 0
-    failures: list[str] = []
-    for _ in range(bases):
-        S = random_semigroup(rng, max_m, min_m=3)
+    audit = _Audit("gluing", seed)
+    tag = " ({}, a={}, b={})"
+    for _ in range(12):
+        S = random_semigroup_with_multiplicity(rng, rng.randint(3, max_m))
         m = S.multiplicity
         ap = set(S.apery_set(m))
         base_poset = kunz_poset_of(S, m)
@@ -162,35 +150,32 @@ def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5, bases: int = 12)
                     spec = GluingSpec(S, alpha, beta)
                 except DomainError:
                     continue
-                tag = f"({S}, a={alpha}, b={beta})"
-                T = glue(spec)
-                n = beta * m
-                checks += 1
                 try:
+                    T = glue(spec)
                     glued_apery(spec)
                     P = glued_poset(spec)
                 except CheckFailed:
-                    failures.append(f"gluing closed form {tag}")
+                    P = None
+                if not audit.check(P is not None, "gluing closed form" + tag, S, alpha, beta):
                     continue
+                n = beta * m
                 emb = EmbeddingSpec(n, beta, alpha % n)
-                checks += 1
-                if extend_poset(base_poset, emb, augmented=alpha in ap) != P:
-                    failures.append(f"extension bridge {tag}")
-                checks += 1
+                ok = extend_poset(base_poset, emb, augmented=alpha in ap) == P
+                audit.check(ok, "extension bridge" + tag, S, alpha, beta)
                 triple = factor_monoscopic(T)
-                if triple is None or glue(GluingSpec(*triple)) != T:
-                    failures.append(f"factor round trip {tag}")
-    return _report("gluing", seed, checks, failures)
+                ok = triple is not None and glue(GluingSpec(*triple)) == T
+                audit.check(ok, "factor round trip" + tag, S, alpha, beta)
+    return audit.report()
 
 
-def suite_embedding(seed: int, count: int = 25, max_n: int = 24) -> dict:
-    """verify_face_image over random embedding specs and sample faces."""
+def suite_embedding(seed: int) -> dict:
+    """verify_face_image over 25 embedding specs with n <= 24 (the first
+    one fixed, the others random) and a random face for each."""
     rng = random.Random(seed)
-    checks = 0
-    failures: list[str] = []
+    audit = _Audit("embedding", seed)
     specs = [EmbeddingSpec(12, 3, 7)]
-    while len(specs) < count:
-        n = rng.randint(4, max_n)
+    while len(specs) < 25:
+        n = rng.randint(4, 24)
         divisors = [b for b in range(2, n) if n % b == 0 and n // b >= 2]
         if not divisors:
             continue
@@ -202,10 +187,8 @@ def suite_embedding(seed: int, count: int = 25, max_n: int = 24) -> dict:
         w = S.coordinates(spec.sub_modulus, APERY)
         report = verify_face_image(spec, [w, w.scale(2)], rng)
         for key in ("augmented_poset", "plain_poset", "image_dimension", "ray_dimension"):
-            checks += 1
-            if not report[key]:
-                failures.append(f"{key} n={spec.n} h={spec.h_gen} rho={spec.rho} {S}")
-    return _report("embedding", seed, checks, failures)
+            audit.check(report[key], "{0} n={1.n} h={1.h_gen} rho={1.rho} {2}", key, spec, S)
+    return audit.report()
 
 
 # (least, greatest) value of each size a suite reads: multiplicities start at 2

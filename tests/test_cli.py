@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import kunzcone.sweeps as sweeps
 from kunzcone import cli, run_suite, semigroup
 from kunzcone.cli import MAX_EMBED_N, MAX_MODULUS, main
 from kunzcone.sweeps import MAX_BETA, MAX_M
@@ -262,6 +263,35 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, "verify", "--suite", "ega", "--seed", "3", "--max-m", "8")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "ega", "--seed", "3", "--max-m", "8")
         assert out1 == out2
+
+    def test_failed_checks_exit_one(self, capsys, monkeypatch):
+        # every plain poset reported wrong: 25 specs fail, the first 20 listed
+        real = sweeps.verify_face_image
+        monkeypatch.setattr(
+            sweeps, "verify_face_image", lambda *args: {**real(*args), "plain_poset": False}
+        )
+        code, out, err = run_cli(capsys, "verify", "--suite", "embedding")
+        assert (code, err) == (1, "")
+        labels = [
+            "n=12 h=3 rho=7 <4, 11>", "n=16 h=4 rho=1 <4, 9, 11>",
+            "n=12 h=6 rho=11 <2, 5>", "n=15 h=3 rho=13 <5, 9, 11>",
+            "n=8 h=4 rho=3 <2, 3>", "n=12 h=3 rho=7 <4, 11>",
+            "n=6 h=3 rho=5 <2, 3>", "n=21 h=3 rho=8 <7, 8, 9>",
+            "n=14 h=2 rho=9 <7, 11, 19>", "n=18 h=6 rho=1 <3, 4>",
+            "n=21 h=3 rho=2 <7, 8, 10>", "n=16 h=8 rho=1 <2, 3>",
+            "n=14 h=2 rho=11 <7, 20>", "n=14 h=2 rho=3 <7, 9, 17>",
+            "n=22 h=2 rho=7 <11, 21, 28, 30>", "n=8 h=4 rho=1 <2, 5>",
+            "n=6 h=3 rho=5 <2, 3>", "n=21 h=7 rho=4 <3, 7>",
+            "n=21 h=7 rho=20 <3, 5>", "n=10 h=5 rho=9 <2, 5>",
+        ]
+        report = {
+            "checks": 100,
+            "failed_checks": ["plain_poset " + label for label in labels],
+            "failures": 25,
+            "seed": 0,
+            "suite": "embedding",
+        }
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 class TestRunSuiteBounds:

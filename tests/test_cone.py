@@ -244,7 +244,7 @@ class TestUntrustedRebuild:
 
     def test_ega_rays(self):
         count = 0
-        for p in iter_ega_params(11, 1, d_factor=1):
+        for p in iter_ega_params(11, 1):
             if 1 < p.k < p.a - 2:
                 r, t = ega_rays(p)
                 for x in (r, t, r + t):

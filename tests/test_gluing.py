@@ -226,6 +226,49 @@ sys.exit(1)
             "alpha=31, beta=3) disagrees with the oracle\n"
         )
 
+    def test_wrong_label_fails(self, monkeypatch, plain_spec, augmented_spec):
+        # the order ignores the labels; they are checked class by class
+        real = gluing._glued_values
+
+        def corrupted(spec):
+            table = dict(real(spec))
+            table[1] += spec.beta * spec.base.multiplicity
+            return table
+
+        monkeypatch.setattr(gluing, "_glued_values", corrupted)
+        for spec in (plain_spec, augmented_spec):
+            with pytest.raises(CheckFailed, match="closed-form Apery labels of .* disagree"):
+                glued_poset(spec)
+
+    def test_label_check_survives_optimize(self):
+        script = """
+import sys
+import kunzcone.gluing as gluing
+from kunzcone import CheckFailed, GluingSpec, NumericalSemigroup
+
+assert False, "asserts are live"
+real = gluing._glued_values
+
+def corrupted(spec):
+    table = dict(real(spec))
+    table[1] += spec.beta * spec.base.multiplicity
+    return table
+
+gluing._glued_values = corrupted
+try:
+    gluing.glued_poset(GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3))
+except CheckFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+        run = run_optimized(script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "closed-form Apery labels of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
+            "alpha=31, beta=3) disagree with the oracle\n"
+        )
+
     @pytest.mark.parametrize("alpha", [31, 43])
     def test_closed_form_rows_corrupted_by_one_bit(self, monkeypatch, alpha):
         # flip each bit of each precomputed mask in turn: the oracle
