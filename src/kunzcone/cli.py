@@ -27,8 +27,8 @@ from .semigroup import APERY, KUNZ, NumericalSemigroup
 from .sweeps import SUITES, run_suite, size_error
 
 
-# the largest --m and embed --n accepted: their tables and JSON output
-# hold that many entries
+# the largest --m, --gens multiplicity and embed --n accepted: their
+# tables and JSON output hold that many entries
 MAX_MODULUS = MAX_EMBED_N = 10_000
 
 
@@ -109,6 +109,9 @@ def _dump(data) -> str:
 
 
 def _semigroup(args) -> NumericalSemigroup:
+    # the least generator is the multiplicity, the length of the Apery table
+    if args.gens and min(args.gens) > MAX_MODULUS:
+        raise _UsageError(f"{args.command} needs --gens with multiplicity <= {MAX_MODULUS}")
     return NumericalSemigroup(args.gens)
 
 
@@ -160,7 +163,7 @@ def _cmd_ega(args) -> str:
     if args.detect:
         if not args.gens:
             raise _UsageError("ega --detect requires --gens")
-        params = ega_detect(NumericalSemigroup(args.gens))
+        params = ega_detect(_semigroup(args))
         return _dump({
             "generators": args.gens,
             "detected": None if params is None else
@@ -185,7 +188,7 @@ def _cmd_ega(args) -> str:
 
 
 def _cmd_glue(args) -> str:
-    S = NumericalSemigroup(args.gens)
+    S = _semigroup(args)
     spec = GluingSpec(S, args.alpha, args.beta)
     T = glue(spec)
     m = S.multiplicity

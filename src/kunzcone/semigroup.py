@@ -1,9 +1,10 @@
 """Numerical semigroups and their Apery/Kunz coordinate tuples.
 
 All arithmetic is exact (Python integers, with ``fractions.Fraction``
-allowed in coordinate tuples).  The residue-graph shortest path that
-computes Apery sets doubles as the ground-truth membership oracle for
-the closed forms implemented elsewhere in the package.
+allowed in coordinate tuples).  The Apery sets computed here from the
+generators (a bitset closure, or a residue-graph shortest path past the
+closure's cap) double as the ground-truth membership oracle for the
+closed forms implemented elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -25,20 +26,95 @@ APERY = "apery"
 KUNZ = "kunz"
 
 
+# Bits per residue class past which the bitset closure gives up and the
+# heap walk runs: at 16 bytes a class the bitset stays no larger than the
+# table it fills, for every input, with nothing to tune.
+_CAP_BITS = 128
+
+
 def apery_by_class(generators, modulus: int) -> list[int]:
     """Smallest element of <generators> in each residue class mod ``modulus``.
 
-    Dijkstra on the residue graph whose arcs are r -> (r + g) mod modulus
-    with weight g.  Paths from 0 are exactly the non-negative generator
-    combinations, so dist[r] is the least element of the generated monoid
-    congruent to r.  Requires gcd of the generators to be 1 so that every
-    class is reachable.
+    ``_close`` finds the table as a bitset closure of the generators and
+    the modulus (which never changes a class minimum, so a modulus outside
+    the monoid is fine).  Past ``_CAP_BITS`` bits per class, as for
+    <1000, 1999> or <3, 10**12 + 1>, ``_walk`` runs Dijkstra on the
+    residue graph instead.  Generators must be non-negative; 0 and
+    multiples of the modulus are skipped, and the rest must have gcd 1
+    with the modulus so that every class is reachable.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    # sized before the closure, so that an absurd modulus fails here at once
     dist: list[int | None] = [None] * modulus
+    gens = set(generators)
+    if min(gens, default=0) < 0:
+        raise ValueError(f"generators must be non-negative, got {min(gens)}")
+    arcs = sorted(g for g in gens if g % modulus != 0)
+    if gcd(modulus, *arcs) != 1:
+        raise ValueError("generators do not reach every residue class")
+    if _close(arcs, modulus, dist) is None:
+        _walk(arcs, modulus, dist)
+    return dist  # type: ignore[return-value]
+
+
+def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
+    """Fill ``table`` with the least element of <modulus, gens> per class
+    and return the sorted ``gens`` that are not sums of the modulus and
+    smaller ones; past the cap, return None and leave ``table`` alone.
+
+    Bit n of the closure B marks n as a sum of what is folded in so far;
+    g is folded in by or-ing copies of B shifted by g, 2g, 4g, ...  Cut
+    at a limit L, B is exact below L, so a generator whose bit is already
+    set is a sum of smaller ones, and the Apery elements below L are the
+    bits of B & ~(B << modulus).  L doubles until there is one per class.
+
+    Class minima are distinct sums of generators other than the modulus.
+    With k of them there are C(j + k, k) multisets of at most j; for the
+    first j where that reaches the number of classes, some minimum is a
+    sum of at least j generators, so the largest is at least j * gens[0].
+    The closure starts above that bound, or gives up at once when the
+    bound is past the cap.
+    """
+    cap = _CAP_BITS * modulus
+    j, count = 0, 1
+    while count < modulus and gens:
+        j += 1
+        count = count * (j + len(gens)) // j
+    top, low = (gens[-1], j * gens[0]) if gens else (0, 0)
+    if max(top, low) >= cap:
+        return None
+    limit = min(3 * max(top, low, modulus), cap)
+    while True:
+        mask = (1 << limit) - 1
+        bits = 1
+        kept = []
+        for g in [modulus] + gens:
+            if bits >> g & 1:
+                continue
+            kept.append(g)
+            shift = g
+            while shift < limit:
+                bits |= (bits << shift) & mask
+                shift <<= 1
+        apery = bits & ~(bits << modulus)
+        if apery.bit_count() == modulus:
+            break
+        if limit >= cap:
+            return None
+        limit = min(2 * limit, cap)
+    digits = format(apery, "b")[::-1]
+    n = digits.find("1")
+    while n >= 0:
+        table[n % modulus] = n
+        n = digits.find("1", n + 1)
+    return kept[1:]
+
+
+def _walk(arcs: list[int], modulus: int, dist: list) -> None:
+    """Fill ``dist`` by Dijkstra from class 0 over the sorted positive
+    ``arcs``; paths from 0 are exactly the generator combinations."""
     dist[0] = 0
-    arcs = sorted({g for g in generators if g % modulus != 0})
     heap: list[tuple[int, int]] = [(0, 0)]
     while heap:
         d, r = heapq.heappop(heap)
@@ -50,9 +126,6 @@ def apery_by_class(generators, modulus: int) -> list[int]:
             if dist[nr] is None or nd < dist[nr]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
-    if any(v is None for v in dist):
-        raise ValueError("generators do not reach every residue class")
-    return dist  # type: ignore[return-value]
 
 
 def _exact(value):
@@ -117,7 +190,13 @@ class NumericalSemigroup:
 
     The generating set is minimalized at construction and the Apery table
     for the multiplicity is computed eagerly, making membership a single
-    table lookup.  Instances are immutable and hashable.
+    table lookup.  One bitset closure of the generators in increasing
+    order gives both (``_close``): a generator already in the closure of
+    the smaller ones is dropped.  Past ``_CAP_BITS`` bits per class, the
+    heap walk gives the table and each generator is checked against the
+    class minima.  The cap is a constant multiple of the multiplicity, not
+    an option, because all it must do is keep the bitset no larger than
+    the table.  Instances are immutable and hashable.
     """
 
     __slots__ = ("generators", "_apery_mult")
@@ -210,15 +289,20 @@ class NumericalSemigroup:
 def _minimalize(gens: list[int]) -> tuple[list[int], list[int]]:
     """Keep exactly the minimal generators of <gens>; also return the
     Apery table mod the multiplicity gens[0], which the generating set
-    does not change.
+    does not change.  ``gens`` is sorted, positive, with gcd 1.
 
-    g is redundant iff g = s + s' with s, s' nonzero elements of the full
-    semigroup; it suffices to try, for each class c, the least nonzero
-    element s of the semigroup in class c (any witness s can be shrunk to
-    the class minimum because the multiplicity stays available).
+    ``_close`` gives both in one pass.  Past its cap, g is redundant iff
+    g = s + s' with s, s' nonzero elements of the full semigroup; it
+    suffices to try, for each class c, the least nonzero element s of the
+    semigroup in class c (any witness s can be shrunk to the class
+    minimum because the multiplicity stays available).
     """
     m = gens[0]
-    dist = apery_by_class(gens, m)
+    dist: list = [None] * m
+    kept = _close(gens[1:], m, dist)
+    if kept is not None:
+        return [m] + kept, dist
+    _walk([g for g in gens if g % m != 0], m, dist)
     out = []
     for g in gens:
         redundant = False

@@ -177,12 +177,54 @@ class TestModulusBound:
         assert out == ""
         assert err == f"usage error: {command} needs --m <= {MAX_MODULUS}\n"
 
+    def test_patched_name_is_the_one_apery_values_calls(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("apery_by_class reached")
+
+        monkeypatch.setattr(semigroup, "apery_by_class", never)
+        with pytest.raises(AssertionError, match="apery_by_class reached"):
+            semigroup.NumericalSemigroup([3, 5]).apery_set(5)
+
     def test_largest_m_runs(self, capsys):
         data = run_json(capsys, "apery", "--gens", "3,5", "--m", str(MAX_MODULUS))
         assert data["modulus"] == MAX_MODULUS == MAX_EMBED_N
         assert len(data["apery"]) == len(data["kunz"]) == MAX_MODULUS
         # the class of 1 is first reached at m + 1, so its Kunz coordinate is 1
         assert data["kunz"][1] == 1
+
+
+class TestMultiplicityBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info"],
+            ["apery"],
+            ["poset"],
+            ["face"],
+            ["ega", "--detect"],
+            ["glue", "--alpha", "7", "--beta", "2"],
+        ],
+    )
+    def test_huge_multiplicity_is_two(self, capsys, monkeypatch, argv):
+        # refused before the semigroup sizes an m-entry Apery table
+        def never(gens):
+            raise AssertionError("NumericalSemigroup reached")
+
+        monkeypatch.setattr(cli, "NumericalSemigroup", never)
+        gens = f"{10**10},{10**10 + 1}"
+        code, out, err = run_cli(capsys, *argv, "--gens", gens)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"usage error: {argv[0]} needs --gens with multiplicity <= {MAX_MODULUS}\n"
+        )
+
+    def test_largest_multiplicity_runs(self, capsys):
+        m = MAX_MODULUS
+        data = run_json(capsys, "info", "--gens", f"{m + 1},{m}")
+        assert data["generators"] == [m, m + 1]
+        assert data["multiplicity"] == m
+        assert data["frobenius"] == m * (m + 1) - m - (m + 1)
 
 
 class TestVerify:

@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,6 +19,7 @@ from kunzcone import (
     NumericalSemigroup,
     apery_by_class,
     from_kunz_tuple,
+    semigroup,
 )
 from oracles import (
     dp_apery,
@@ -145,8 +148,76 @@ class TestApery:
 
     def test_apery_by_class_low_level(self):
         assert apery_by_class([4, 13, 18], 4) == [0, 13, 18, 31]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^generators do not reach every residue class$"):
             apery_by_class([4, 6], 4)
+        with pytest.raises(ValueError, match="^generators do not reach every residue class$"):
+            apery_by_class([0, 6, 9], 3)
+
+    def test_negative_generator_rejected(self):
+        # a negative arc made the heap walk cycle for ever
+        with pytest.raises(ValueError, match="^generators must be non-negative, got -1$"):
+            apery_by_class([-1, 3], 3)
+
+
+class TestBitsetKernel:
+    """The bitset closure below its cap, the heap walk past it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        real = semigroup._walk
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(semigroup, "_walk", counted)
+        return calls
+
+    def test_matches_oracles_below_cap(self, walks):
+        rng = random.Random(5)
+        for _ in range(300):
+            gens = [rng.randint(1, 40) for _ in range(rng.randint(1, 5))]
+            modulus = rng.randint(1, 30)
+            gens += rng.sample([0, modulus, 2 * modulus], rng.randint(0, 2))
+            if gcd(modulus, *gens) != 1:
+                with pytest.raises(ValueError, match="do not reach every residue class"):
+                    apery_by_class(gens, modulus)
+                continue
+            positive = sorted({g for g in gens if g > 0})
+            assert apery_by_class(gens, modulus) == dp_apery(positive, modulus)
+            if gcd(*positive) == 1:
+                S = NumericalSemigroup(positive)
+                assert list(S.generators) == dp_minimal_generators(positive)
+                assert S.apery_set(S.multiplicity) == sorted(
+                    dp_apery(positive, S.multiplicity)
+                )
+        assert walks == []
+
+    def test_modulus_outside_the_monoid(self, walks):
+        # the closure adds the modulus, which leaves every class minimum alone
+        assert apery_by_class([4, 13, 18], 7) == dp_apery([4, 13, 18], 7)
+        assert apery_by_class([3, 5], 7) == [0, 8, 9, 3, 11, 5, 6]
+        assert apery_by_class([5, 7], 1) == [0]
+        assert walks == []
+
+    @pytest.mark.parametrize("a, b", [(1000, 1999), (9999, 10000)])
+    def test_two_generators_past_cap(self, walks, a, b):
+        # the Apery set of <a, b> mod a is {0, b, ..., (a - 1) b}
+        S = NumericalSemigroup([b, a, 2 * b])
+        assert S.generators == (a, b)
+        assert S.apery_set(a) == [i * b for i in range(a)]
+        assert S.frobenius() == a * b - a - b
+        assert walks == [a]
+
+    def test_generator_past_cap_is_fast(self, walks):
+        b = 10**12 + 1
+        start = time.perf_counter()
+        S = NumericalSemigroup([3, b])
+        assert S.frobenius() == 3 * b - 3 - b
+        assert apery_by_class([3, b], 3) == [0, 2 * b, b]  # b = 2 mod 3
+        assert time.perf_counter() - start < 0.5
+        assert walks == [3, 3]
 
 
 class TestFrobenius:

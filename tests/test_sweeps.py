@@ -80,3 +80,25 @@ def test_glue_failure_is_one_failed_check(monkeypatch):
     assert report["failed_checks"] == [
         f"gluing closed form ({spec.base}, a={spec.alpha}, b={spec.beta})"
     ]
+
+
+def test_round_trip_glue_failure_is_one_failed_check(monkeypatch):
+    # the second glue call is the first spec's factor round trip: its
+    # CheckFailed fails that one check and the count stays as in a clean run
+    real = sweeps.glue
+    seen = []
+
+    def second_fails(spec):
+        seen.append(spec)
+        if len(seen) == 2:
+            raise CheckFailed("glued generating set is not minimal")
+        return real(spec)
+
+    monkeypatch.setattr(sweeps, "glue", second_fails)
+    report = run_suite("gluing", 3, max_m=6, max_beta=3)
+    spec = seen[0]
+    assert report["checks"] == 612
+    assert report["failures"] == 1
+    assert report["failed_checks"] == [
+        f"factor round trip ({spec.base}, a={spec.alpha}, b={spec.beta})"
+    ]
