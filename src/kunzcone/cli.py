@@ -27,8 +27,8 @@ from .semigroup import APERY, KUNZ, NumericalSemigroup
 from .sweeps import SUITES, run_suite, size_error
 
 
-# the largest --m, --gens multiplicity and embed --n accepted: their
-# tables and JSON output hold that many entries
+# the largest --m, --gens multiplicity, ega a, glue beta * multiplicity and
+# embed --n accepted: their tables and JSON output hold that many entries
 MAX_MODULUS = MAX_EMBED_N = 10_000
 
 
@@ -171,6 +171,8 @@ def _cmd_ega(args) -> str:
         })
     if not args.params or len(args.params) != 4:
         raise _UsageError("ega requires --params a,h,k,d (or --detect --gens ...)")
+    if args.params[0] > MAX_MODULUS:
+        raise _UsageError(f"ega needs --params with a <= {MAX_MODULUS}")
     params, S = ega_new(*args.params)
     data = {
         "a": params.a,
@@ -189,10 +191,12 @@ def _cmd_ega(args) -> str:
 
 def _cmd_glue(args) -> str:
     S = _semigroup(args)
-    spec = GluingSpec(S, args.alpha, args.beta)
-    T = glue(spec)
     m = S.multiplicity
     n = args.beta * m
+    if n > MAX_MODULUS:
+        raise _UsageError(f"glue needs --beta times the multiplicity <= {MAX_MODULUS}")
+    spec = GluingSpec(S, args.alpha, args.beta)
+    T = glue(spec)
     dim_s = face_of(S.coordinates(m, APERY)).dimension
     dim_t = face_of(T.coordinates(n, APERY)).dimension
     return _dump({

@@ -319,51 +319,47 @@ def _minimalize(gens: list[int]) -> tuple[list[int], list[int]]:
 def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     """Reconstruct the semigroup with Kunz tuple ``entries`` over Z_m.
 
-    Validates the defining inequalities z_i + z_j >= z_{i+j} (i + j < m)
-    and z_i + z_j + 1 >= z_{i+j-m} (i + j > m), plus non-negativity, which
-    the inequalities already force for m >= 3 but not in the degenerate
-    m = 2 case where the facet list is empty.
-
-    The facet scan that validates the tuple (``_facet_scan``, shared with
-    face_of) also finds the generators.  With a_s = m*z_s + s, a tight
-    facet says a_i + a_j = a_s for its target class s, so a_s is a sum of
-    two smaller elements and cannot be a minimal generator.  Only m and
-    the a_s of the other classes go to ``NumericalSemigroup``, which still
-    minimalizes them.
+    The tuple must be non-negative (forced by the inequalities below for
+    m >= 3, not for m = 2, which has none) and satisfy z_i + z_j >= z_{i+j}
+    (i + j < m) and z_i + z_j + 1 >= z_{i+j-m} (i + j > m).  By Kunz's
+    bijection (Kunz 1987; Rosales, Garcia-Sanchez, Garcia-Garcia and
+    Branco 2002) these integer points are the semigroups containing m:
+    with a_s = m*z_s + s, z is one exactly when <m, a_1, ..., a_{m-1}> has
+    Apery table a mod m.  So building that semigroup, which minimalizes
+    its generators, decides the tuple; ``_facet_scan`` runs only on a
+    mismatch, to name the first violated inequality.
     """
     if isinstance(entries, CoordTuple):
         if entries.kind != KUNZ:
             raise ValueError("expected a Kunz-kind tuple")
         if entries.modulus != m:
             raise ValueError("modulus mismatch")
-        raw = entries.entries[1:]
+        raw = entries.entries[1:]  # already normalized by CoordTuple
     else:
-        raw = tuple(entries)
+        raw = map(_exact, entries)
     z = []
     for v in raw:
-        v = _exact(v)
         if not isinstance(v, int):
             raise ValueError(f"Kunz coordinates must be integers, got {v}")
         z.append(v)
-    z = tuple(z)
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if len(z) != m - 1:
         raise ValueError(f"need {m - 1} coordinates for modulus {m}, got {len(z)}")
-    full = (0,) + z
+    full = [0] + z
     for i in range(1, m):
         if full[i] < 0:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")
-    tight, bad = _facet_scan(full, 1)
-    if bad is not None:
-        i, j = bad
-        s, plus = (i + j, "") if i + j < m else (i + j - m, " + 1")
-        raise NotInPolyhedron(
-            f"z_{i} + z_{j}{plus} >= z_{s} fails: {full[i]} + {full[j]}{plus} < {full[s]}"
-        )
-    summed = {(i + j) % m for i, j in tight}
-    gens = [m] + [m * full[s] + s for s in range(1, m) if s not in summed]
-    return NumericalSemigroup(gens)
+    apery = [m * full[s] + s for s in range(m)]
+    S = NumericalSemigroup([m] + apery[1:])
+    if S._apery_values(m) == apery:
+        return S
+    # a mismatch means some inequality fails, so the scan finds one
+    _, (i, j) = _facet_scan(full, 1)
+    s, plus = (i + j, "") if i + j < m else (i + j - m, " + 1")
+    raise NotInPolyhedron(
+        f"z_{i} + z_{j}{plus} >= z_{s} fails: {full[i]} + {full[j]}{plus} < {full[s]}"
+    )
 
 
 def _facet_scan(entries, wrap: int):

@@ -118,6 +118,30 @@ def dp_minimal_generators(generators):
     return kept
 
 
+def kunz_violation(m, z):
+    """Text of the first Kunz inequality that z = (z_1, ..., z_{m-1})
+    breaks, or None when z is an integer point of the Kunz polyhedron.
+
+    Straight from the definition: first z_i >= 0 for every i, then for
+    i = 1, ..., m-1 and j = i, ..., m-1 with i + j != m the inequality
+    z_i + z_j >= z_{i+j mod m}, with 1 added on the left when i + j > m.
+    """
+    full = [0] + list(z)
+    for i in range(1, m):
+        if full[i] < 0:
+            return f"z_{i} = {full[i]} is negative"
+    for i in range(1, m):
+        for j in range(i, m):
+            if i + j == m:
+                continue
+            wrap = 1 if i + j > m else 0
+            plus = " + 1" if wrap else ""
+            s = (i + j) % m
+            if full[i] + full[j] + wrap < full[s]:
+                return f"z_{i} + z_{j}{plus} >= z_{s} fails: {full[i]} + {full[j]}{plus} < {full[s]}"
+    return None
+
+
 def is_chain(poset):
     """True when the poset is totally ordered."""
     g = poset.ground

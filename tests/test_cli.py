@@ -227,6 +227,55 @@ class TestMultiplicityBound:
         assert data["frobenius"] == m * (m + 1) - m - (m + 1)
 
 
+class TestFamilySizeBound:
+    """`ega --params` a and glue's beta times the multiplicity size tables
+    too, so they are refused before `ega_new` or `GluingSpec` is built."""
+
+    @staticmethod
+    def never(name):
+        def fail(*args):
+            raise AssertionError(f"{name} reached")
+
+        return fail
+
+    def test_huge_ega_a_is_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ega_new", self.never("ega_new"))
+        code, out, err = run_cli(capsys, "ega", "--params", f"{10**10},1,1,1")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: ega needs --params with a <= {MAX_MODULUS}\n"
+
+    def test_largest_ega_a_runs(self, capsys):
+        a = MAX_MODULUS
+        data = run_json(capsys, "ega", "--params", f"{a},1,1,1")
+        assert data["generators"] == [a, a + 1]
+        assert data["frobenius"] == a * (a + 1) - a - (a + 1)
+
+    @pytest.mark.parametrize("gens, beta", [("3,5", 10**10 + 1), ("2,5", MAX_MODULUS // 2 + 1)])
+    def test_huge_glue_is_two(self, capsys, monkeypatch, gens, beta):
+        monkeypatch.setattr(cli, "GluingSpec", self.never("GluingSpec"))
+        code, out, err = run_cli(
+            capsys, "glue", "--gens", gens, "--alpha", "8", "--beta", str(beta)
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: glue needs --beta times the multiplicity <= {MAX_MODULUS}\n"
+        )
+
+    def test_largest_glue_reaches_gluing_spec(self, capsys, monkeypatch):
+        # a glued modulus of exactly MAX_MODULUS passes the bound; the
+        # spec is stubbed because the face scan of T is O(n^2)
+        reached = []
+
+        def stub(S, alpha, beta):
+            reached.append(beta * S.multiplicity)
+            raise AssertionError("GluingSpec reached")
+
+        monkeypatch.setattr(cli, "GluingSpec", stub)
+        with pytest.raises(AssertionError, match="GluingSpec reached"):
+            main(["glue", "--gens", "2,5", "--alpha", "7", "--beta", str(MAX_MODULUS // 2)])
+        assert reached == [MAX_MODULUS]
+
+
 class TestVerify:
     def test_roundtrip_suite(self, capsys):
         code, out, _ = run_cli(

@@ -26,6 +26,7 @@ from oracles import (
     dp_frobenius,
     dp_members,
     dp_minimal_generators,
+    kunz_violation,
     random_gens,
 )
 
@@ -159,20 +160,33 @@ class TestApery:
             apery_by_class([-1, 3], 3)
 
 
+def _count_calls(monkeypatch, name, record):
+    """Patch semigroup.<name> to append record(args) per call; return the list."""
+    calls = []
+    real = getattr(semigroup, name)
+
+    def counted(*args):
+        calls.append(record(args))
+        return real(*args)
+
+    monkeypatch.setattr(semigroup, name, counted)
+    return calls
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Moduli of the heap walks taken past the bitset cap."""
+    return _count_calls(monkeypatch, "_walk", lambda args: args[1])
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Lengths of the points handed to the facet scan."""
+    return _count_calls(monkeypatch, "_facet_scan", lambda args: len(args[0]))
+
+
 class TestBitsetKernel:
     """The bitset closure below its cap, the heap walk past it."""
-
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        calls = []
-        real = semigroup._walk
-
-        def counted(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(semigroup, "_walk", counted)
-        return calls
 
     def test_matches_oracles_below_cap(self, walks):
         rng = random.Random(5)
@@ -315,7 +329,8 @@ class TestKunzRoundTrip:
     def test_round_trip_modulus_above_multiplicity(self):
         # m in S but not its multiplicity: the Kunz tuple has zero entries
         # (z_i = 0 exactly for the classes i < m that lie in S), and the
-        # generators found by the facet scan must still be the minimal ones
+        # semigroup built from the tuple must still keep only the minimal
+        # generators
         rng = random.Random(404)
         cases = 0
         while cases < 300:
@@ -377,3 +392,127 @@ class TestKunzRoundTrip:
         S = NumericalSemigroup([4, 13, 18])
         with pytest.raises(ValueError):
             from_kunz_tuple(4, S.coordinates(4, APERY))
+
+
+def _kunz_cases(rng):
+    """Seeded (m, input, z) triples for the differential test, with z the
+    integer entries z_1..z_{m-1} that ``input`` stands for, and a count
+    per kind.  Valid tuples come from semigroups at the multiplicity and
+    at a larger element; each is sent plain, as a CoordTuple or with
+    Fraction entries, and perturbed by +-1 or +-2 in one entry."""
+    cases, kinds = [], dict.fromkeys(
+        ["multiplicity", "above", "perturbed", "random", "past cap"], 0
+    )
+
+    def add(kind, m, z):
+        shape = rng.randrange(3)
+        if shape == 0:
+            entry = tuple(z)
+        elif shape == 1:
+            entry = CoordTuple(m, KUNZ, (0,) + tuple(z))
+        else:
+            entry = tuple(Fraction(v) for v in z)
+        cases.append((m, entry, tuple(z)))
+        kinds[kind] += 1
+
+    def add_with_perturbations(kind, m, z):
+        add(kind, m, z)
+        for _ in range(2):
+            p = list(z)
+            p[rng.randrange(m - 1)] += rng.choice([-2, -1, 1, 2])
+            add("perturbed", m, p)
+
+    while len(cases) < 20_000:
+        gens = random_gens(rng, 2, 10, spread=3, extra_hi=5)
+        if gens is None:
+            continue
+        S = NumericalSemigroup(gens)
+        m = S.multiplicity
+        add_with_perturbations("multiplicity", m, S.coordinates(m, KUNZ).entries[1:])
+        above = [n for n in range(m + 1, 15) if S.contains(n)]
+        if above:
+            n = rng.choice(above)
+            add_with_perturbations("above", n, S.coordinates(n, KUNZ).entries[1:])
+        m = rng.randint(2, 9)
+        add("random", m, [rng.randint(-1, 6) for _ in range(m - 1)])
+        if rng.random() < 0.05:
+            # <m, b> with b past 128 bits per class: the heap walk runs
+            m = rng.randint(2, 4)
+            b = rng.choice([b for b in range(128 * m + 1, 140 * m) if gcd(b, m) == 1])
+            z = NumericalSemigroup([m, b]).coordinates(m, KUNZ).entries[1:]
+            add_with_perturbations("past cap", m, z)
+    return cases, kinds
+
+
+class TestKunzDifferential:
+    """from_kunz_tuple against the definition of the Kunz polyhedron."""
+
+    def test_matches_definition_oracle(self, walks):
+        cases, kinds = _kunz_cases(random.Random(1111))
+        assert len(cases) >= 20_000
+        assert min(kinds.values()) >= 100, kinds
+        walks.clear()
+        accepted = 0
+        for m, entry, z in cases:
+            message = kunz_violation(m, z)
+            if message is None:
+                S = from_kunz_tuple(m, entry)
+                gens = [m] + [m * v + i for i, v in enumerate(z, 1)]
+                assert list(S.generators) == dp_minimal_generators(gens), (m, z)
+                accepted += 1
+            else:
+                with pytest.raises(NotInPolyhedron) as exc:
+                    from_kunz_tuple(m, entry)
+                assert str(exc.value) == message
+        assert 5_000 < accepted < 15_000
+        assert len(walks) > 100  # the past-cap tuples took the heap walk
+
+
+class TestKunzValidationCost:
+    """One closure decides a tuple; the facet scan only names a violation."""
+
+    def test_scan_only_on_rejection(self, scans):
+        rng = random.Random(2222)
+        rejected = 0
+        for _ in range(300):
+            gens = random_gens(rng, 2, 12, spread=3, extra_hi=5)
+            if gens is None:
+                continue
+            S = NumericalSemigroup(gens)
+            m = S.multiplicity
+            z = list(S.coordinates(m, KUNZ).entries[1:])
+            assert from_kunz_tuple(m, z) == S
+            assert scans == []
+            z[rng.randrange(m - 1)] += rng.choice([1, 2])
+            if kunz_violation(m, z) is not None:
+                with pytest.raises(NotInPolyhedron):
+                    from_kunz_tuple(m, z)
+                assert scans == [m]
+                rejected += 1
+            scans.clear()
+        assert rejected > 50
+
+    def test_negative_entry_needs_no_scan(self, scans):
+        with pytest.raises(NotInPolyhedron, match="z_2 = -1 is negative"):
+            from_kunz_tuple(4, (1, -1, 1))
+        assert scans == []
+
+    def test_past_cap_round_trip(self, walks, scans):
+        # <200, 399>: 199 * 399 is far past 128 bits per class
+        S = NumericalSemigroup([200, 399])
+        z = S.coordinates(200, KUNZ)
+        assert walks == [200]
+        assert from_kunz_tuple(200, z) == S
+        assert walks == [200, 200]
+        assert scans == []
+
+    def test_past_cap_rejection(self, walks, scans):
+        z = list(NumericalSemigroup([200, 399]).coordinates(200, KUNZ).entries[1:])
+        z[0] += 1
+        walks.clear()
+        with pytest.raises(NotInPolyhedron) as exc:
+            from_kunz_tuple(200, z)
+        assert str(exc.value) == kunz_violation(200, z)
+        assert str(exc.value) == "z_2 + z_199 + 1 >= z_1 fails: 395 + 1 + 1 < 398"
+        assert walks == [200]
+        assert scans == [200]
