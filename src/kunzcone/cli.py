@@ -30,6 +30,9 @@ from .sweeps import SUITES, run_suite, size_error
 # the largest --m, --gens multiplicity, ega a, glue beta * multiplicity and
 # embed --n accepted: their tables and JSON output hold that many entries
 MAX_MODULUS = MAX_EMBED_N = 10_000
+# the largest modulus of a face or poset (face, poset, glue, ega with rays):
+# the facet scan, the tight list and the echelon grow as its square
+MAX_FACE_N = 1_000
 
 
 def _int_list(text: str) -> list[int]:
@@ -121,6 +124,13 @@ def _modulus(args, S: NumericalSemigroup) -> int:
     return args.m if args.m is not None else S.multiplicity
 
 
+def _face_modulus(args, S: NumericalSemigroup) -> int:
+    m = _modulus(args, S)
+    if m > MAX_FACE_N:
+        raise _UsageError(f"{args.command} needs --m (default: the multiplicity) <= {MAX_FACE_N}")
+    return m
+
+
 def _cmd_info(args) -> str:
     S = _semigroup(args)
     return _dump({
@@ -144,7 +154,7 @@ def _cmd_apery(args) -> str:
 
 def _cmd_poset(args) -> str:
     S = _semigroup(args)
-    P = apery_poset(S, _modulus(args, S))
+    P = apery_poset(S, _face_modulus(args, S))
     if args.dot:
         return P.to_dot()
     return _dump(P.to_json_dict())
@@ -152,7 +162,7 @@ def _cmd_poset(args) -> str:
 
 def _cmd_face(args) -> str:
     S = _semigroup(args)
-    m = _modulus(args, S)
+    m = _face_modulus(args, S)
     face = face_of(S.coordinates(m, APERY))
     data = face.to_json_dict()
     data["poset"] = face.kunz_poset.to_json_dict()
@@ -171,8 +181,11 @@ def _cmd_ega(args) -> str:
         })
     if not args.params or len(args.params) != 4:
         raise _UsageError("ega requires --params a,h,k,d (or --detect --gens ...)")
-    if args.params[0] > MAX_MODULUS:
+    a, _, k, _ = args.params
+    if a > MAX_MODULUS:
         raise _UsageError(f"ega needs --params with a <= {MAX_MODULUS}")
+    if a > MAX_FACE_N and 1 < k < a - 2:
+        raise _UsageError(f"ega with rays (1 < k < a - 2) needs a <= {MAX_FACE_N}")
     params, S = ega_new(*args.params)
     data = {
         "a": params.a,
@@ -193,8 +206,8 @@ def _cmd_glue(args) -> str:
     S = _semigroup(args)
     m = S.multiplicity
     n = args.beta * m
-    if n > MAX_MODULUS:
-        raise _UsageError(f"glue needs --beta times the multiplicity <= {MAX_MODULUS}")
+    if n > MAX_FACE_N:
+        raise _UsageError(f"glue needs --beta times the multiplicity <= {MAX_FACE_N}")
     spec = GluingSpec(S, args.alpha, args.beta)
     T = glue(spec)
     dim_s = face_of(S.coordinates(m, APERY)).dimension

@@ -2,17 +2,16 @@
 
 All arithmetic is exact (Python integers, with ``fractions.Fraction``
 allowed in coordinate tuples).  The Apery sets computed here from the
-generators (a bitset closure, or a residue-graph shortest path past the
-closure's cap) double as the ground-truth membership oracle for the
-closed forms implemented elsewhere in the package.
+generators (a bitset closure, or the round robin past the closure's
+cap) double as the ground-truth membership oracle for the closed forms
+implemented elsewhere in the package.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .errors import (
     EmptyGenerators,
@@ -27,8 +26,8 @@ KUNZ = "kunz"
 
 
 # Bits per residue class past which the bitset closure gives up and the
-# heap walk runs: at 16 bytes a class the bitset stays no larger than the
-# table it fills, for every input, with nothing to tune.
+# round robin runs: at 16 bytes a class the bitset stays no larger than
+# the table it fills, for every input, with nothing to tune.
 _CAP_BITS = 128
 
 
@@ -37,11 +36,11 @@ def apery_by_class(generators, modulus: int) -> list[int]:
 
     ``_close`` finds the table as a bitset closure of the generators and
     the modulus (which never changes a class minimum, so a modulus outside
-    the monoid is fine).  Past ``_CAP_BITS`` bits per class, as for
-    <1000, 1999> or <3, 10**12 + 1>, ``_walk`` runs Dijkstra on the
-    residue graph instead.  Generators must be non-negative; 0 and
-    multiples of the modulus are skipped, and the rest must have gcd 1
-    with the modulus so that every class is reachable.
+    the monoid is fine), or past ``_CAP_BITS`` bits per class, as for
+    <1000, 1999> or <3, 10**12 + 1>, by the round robin of ``_walk``.
+    Generators must be non-negative; 0 and multiples of the modulus are
+    skipped, and the rest must have gcd 1 with the modulus so that every
+    class is reachable.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -53,15 +52,14 @@ def apery_by_class(generators, modulus: int) -> list[int]:
     arcs = sorted(g for g in gens if g % modulus != 0)
     if gcd(modulus, *arcs) != 1:
         raise ValueError("generators do not reach every residue class")
-    if _close(arcs, modulus, dist) is None:
-        _walk(arcs, modulus, dist)
+    _close(arcs, modulus, dist)
     return dist  # type: ignore[return-value]
 
 
-def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
+def _close(gens: list[int], modulus: int, table: list) -> list[int]:
     """Fill ``table`` with the least element of <modulus, gens> per class
     and return the sorted ``gens`` that are not sums of the modulus and
-    smaller ones; past the cap, return None and leave ``table`` alone.
+    smaller ones; past the cap, ``_walk`` does both instead.
 
     Bit n of the closure B marks n as a sum of what is folded in so far;
     g is folded in by or-ing copies of B shifted by g, 2g, 4g, ...  Cut
@@ -73,7 +71,7 @@ def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
     With k of them there are C(j + k, k) multisets of at most j; for the
     first j where that reaches the number of classes, some minimum is a
     sum of at least j generators, so the largest is at least j * gens[0].
-    The closure starts above that bound, or gives up at once when the
+    The closure starts above that bound, or hands over at once when the
     bound is past the cap.
     """
     cap = _CAP_BITS * modulus
@@ -83,7 +81,7 @@ def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
         count = count * (j + len(gens)) // j
     top, low = (gens[-1], j * gens[0]) if gens else (0, 0)
     if max(top, low) >= cap:
-        return None
+        return _walk(gens, modulus, table)
     limit = min(3 * max(top, low, modulus), cap)
     while True:
         mask = (1 << limit) - 1
@@ -101,7 +99,7 @@ def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
         if apery.bit_count() == modulus:
             break
         if limit >= cap:
-            return None
+            return _walk(gens, modulus, table)
         limit = min(2 * limit, cap)
     digits = format(apery, "b")[::-1]
     n = digits.find("1")
@@ -111,21 +109,36 @@ def _close(gens: list[int], modulus: int, table: list) -> list[int] | None:
     return kept[1:]
 
 
-def _walk(arcs: list[int], modulus: int, dist: list) -> None:
-    """Fill ``dist`` by Dijkstra from class 0 over the sorted positive
-    ``arcs``; paths from 0 are exactly the generator combinations."""
-    dist[0] = 0
-    heap: list[tuple[int, int]] = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist[r] is not None and d > dist[r]:
+def _walk(gens: list[int], modulus: int, table: list) -> list[int]:
+    """``_close`` without a cap: the round robin of Boecker and Liptak
+    ("A fast and simple algorithm for the money changing problem", 2007).
+
+    The table starts as <modulus> and folds in the sorted ``gens`` one at
+    a time.  g is a sum of the modulus and smaller ones exactly when
+    table[g % modulus] <= g; it is then skipped.  Otherwise each of the
+    gcd(g, modulus) cycles of r -> r + g is walked once round from its
+    least entry, which no multiple of g can lower, taking each class
+    down to its predecessor plus g.
+    """
+    table[:] = [0] + [inf] * (modulus - 1)
+    kept = []
+    for g in gens:
+        if table[g % modulus] <= g:
             continue
-        for g in arcs:
-            nr = (r + g) % modulus
-            nd = d + g
-            if dist[nr] is None or nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
+        kept.append(g)
+        cycles = gcd(g, modulus)
+        for start in range(cycles):
+            cycle = [(start + i * g) % modulus for i in range(modulus // cycles)]
+            values = [table[r] for r in cycle]
+            i = values.index(min(values))
+            n = values[i]
+            for r in cycle[i + 1:] + cycle[:i]:
+                n += g
+                if table[r] < n:
+                    n = table[r]
+                else:
+                    table[r] = n
+    return kept
 
 
 def _exact(value):
@@ -190,13 +203,13 @@ class NumericalSemigroup:
 
     The generating set is minimalized at construction and the Apery table
     for the multiplicity is computed eagerly, making membership a single
-    table lookup.  One bitset closure of the generators in increasing
-    order gives both (``_close``): a generator already in the closure of
-    the smaller ones is dropped.  Past ``_CAP_BITS`` bits per class, the
-    heap walk gives the table and each generator is checked against the
-    class minima.  The cap is a constant multiple of the multiplicity, not
-    an option, because all it must do is keep the bitset no larger than
-    the table.  Instances are immutable and hashable.
+    table lookup.  One pass over the generators in increasing order gives
+    both (``_close``): a generator already reached from the multiplicity
+    and the smaller ones is dropped.  The pass is a bitset closure, or
+    the round robin past ``_CAP_BITS`` bits per class; the cap is a
+    constant multiple of the multiplicity, not an option, because all it
+    must do is keep the bitset no larger than the table.  Instances are
+    immutable and hashable.
     """
 
     __slots__ = ("generators", "_apery_mult")
@@ -207,14 +220,13 @@ class NumericalSemigroup:
             raise EmptyGenerators("at least one generator is required")
         if gens[0] <= 0:
             raise ValueError(f"generators must be positive, got {gens[0]}")
-        g = 0
-        for v in gens:
-            g = gcd(g, v)
+        g = gcd(*gens)
         if g != 1:
             raise NotCofinite(f"generators {gens} share the common divisor {g}")
-        minimal, apery = _minimalize(gens)
-        object.__setattr__(self, "generators", tuple(minimal))
-        object.__setattr__(self, "_apery_mult", tuple(apery))
+        m = gens[0]
+        table: list = [None] * m
+        object.__setattr__(self, "generators", tuple([m] + _close(gens[1:], m, table)))
+        object.__setattr__(self, "_apery_mult", tuple(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -284,36 +296,6 @@ class NumericalSemigroup:
 
     def to_json_dict(self) -> dict:
         return {"generators": list(self.generators)}
-
-
-def _minimalize(gens: list[int]) -> tuple[list[int], list[int]]:
-    """Keep exactly the minimal generators of <gens>; also return the
-    Apery table mod the multiplicity gens[0], which the generating set
-    does not change.  ``gens`` is sorted, positive, with gcd 1.
-
-    ``_close`` gives both in one pass.  Past its cap, g is redundant iff
-    g = s + s' with s, s' nonzero elements of the full semigroup; it
-    suffices to try, for each class c, the least nonzero element s of the
-    semigroup in class c (any witness s can be shrunk to the class
-    minimum because the multiplicity stays available).
-    """
-    m = gens[0]
-    dist: list = [None] * m
-    kept = _close(gens[1:], m, dist)
-    if kept is not None:
-        return [m] + kept, dist
-    _walk([g for g in gens if g % m != 0], m, dist)
-    out = []
-    for g in gens:
-        redundant = False
-        for c in range(m):
-            s = dist[c] if c != 0 else m
-            if 0 < s < g and (g - s) >= dist[(g - s) % m]:
-                redundant = True
-                break
-        if not redundant:
-            out.append(g)
-    return out, dist
 
 
 def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:

@@ -4,7 +4,7 @@ import pytest
 
 import kunzcone.sweeps as sweeps
 from kunzcone import cli, run_suite, semigroup
-from kunzcone.cli import MAX_EMBED_N, MAX_MODULUS, main
+from kunzcone.cli import MAX_EMBED_N, MAX_FACE_N, MAX_MODULUS, main
 from kunzcone.sweeps import MAX_BETA, MAX_M
 
 
@@ -229,7 +229,8 @@ class TestMultiplicityBound:
 
 class TestFamilySizeBound:
     """`ega --params` a and glue's beta times the multiplicity size tables
-    too, so they are refused before `ega_new` or `GluingSpec` is built."""
+    too, so they are refused before `ega_new` or `GluingSpec` is built;
+    glue also builds faces of T, so its bound is MAX_FACE_N."""
 
     @staticmethod
     def never(name):
@@ -250,7 +251,10 @@ class TestFamilySizeBound:
         assert data["generators"] == [a, a + 1]
         assert data["frobenius"] == a * (a + 1) - a - (a + 1)
 
-    @pytest.mark.parametrize("gens, beta", [("3,5", 10**10 + 1), ("2,5", MAX_MODULUS // 2 + 1)])
+    @pytest.mark.parametrize(
+        "gens, beta",
+        [("3,5", 10**10 + 1), ("2,5", MAX_MODULUS // 2 + 1), ("2,5", MAX_FACE_N // 2 + 1)],
+    )
     def test_huge_glue_is_two(self, capsys, monkeypatch, gens, beta):
         monkeypatch.setattr(cli, "GluingSpec", self.never("GluingSpec"))
         code, out, err = run_cli(
@@ -258,11 +262,11 @@ class TestFamilySizeBound:
         )
         assert (code, out) == (2, "")
         assert err == (
-            f"usage error: glue needs --beta times the multiplicity <= {MAX_MODULUS}\n"
+            f"usage error: glue needs --beta times the multiplicity <= {MAX_FACE_N}\n"
         )
 
     def test_largest_glue_reaches_gluing_spec(self, capsys, monkeypatch):
-        # a glued modulus of exactly MAX_MODULUS passes the bound; the
+        # a glued modulus of exactly MAX_FACE_N passes the bound; the
         # spec is stubbed because the face scan of T is O(n^2)
         reached = []
 
@@ -272,8 +276,64 @@ class TestFamilySizeBound:
 
         monkeypatch.setattr(cli, "GluingSpec", stub)
         with pytest.raises(AssertionError, match="GluingSpec reached"):
-            main(["glue", "--gens", "2,5", "--alpha", "7", "--beta", str(MAX_MODULUS // 2)])
-        assert reached == [MAX_MODULUS]
+            main(["glue", "--gens", "2,5", "--alpha", "7", "--beta", str(MAX_FACE_N // 2)])
+        assert reached == [MAX_FACE_N]
+
+
+class TestFaceSizeBound:
+    """face, poset and ega with rays build a face or a poset, whose facet
+    scan, tight list and echelon grow as n^2, so n above MAX_FACE_N is
+    refused before the builder runs.  The builders are stubbed: at the
+    bound itself they would take seconds."""
+
+    ARGS = {
+        "multiplicity": lambda n: ["--gens", f"{n},{n + 1}"],
+        "m": lambda n: ["--gens", "3,5", "--m", str(n)],
+    }
+
+    @staticmethod
+    def stub(monkeypatch, name):
+        """Patch cli.<name> to record its arguments and stop the command."""
+        calls = []
+
+        def stop(*args):
+            calls.append(args)
+            raise AssertionError(f"{name} reached")
+
+        monkeypatch.setattr(cli, name, stop)
+        return calls
+
+    @pytest.mark.parametrize("how", ["multiplicity", "m"])
+    @pytest.mark.parametrize("command, builder", [("face", "face_of"), ("poset", "apery_poset")])
+    def test_over_bound_is_two(self, capsys, monkeypatch, command, builder, how):
+        calls = self.stub(monkeypatch, builder)
+        code, out, err = run_cli(capsys, command, *self.ARGS[how](MAX_FACE_N + 1))
+        assert (code, out, calls) == (2, "", [])
+        assert err == (
+            f"usage error: {command} needs --m (default: the multiplicity) <= {MAX_FACE_N}\n"
+        )
+
+    @pytest.mark.parametrize("how", ["multiplicity", "m"])
+    @pytest.mark.parametrize("command, builder", [("face", "face_of"), ("poset", "apery_poset")])
+    def test_largest_n_reaches_builder(self, monkeypatch, command, builder, how):
+        calls = self.stub(monkeypatch, builder)
+        with pytest.raises(AssertionError, match=f"{builder} reached"):
+            main([command, *self.ARGS[how](MAX_FACE_N)])
+        (args,) = calls
+        modulus = args[0].modulus if builder == "face_of" else args[1]
+        assert modulus == MAX_FACE_N
+
+    def test_ega_rays_over_bound_is_two(self, capsys, monkeypatch):
+        built = self.stub(monkeypatch, "ega_new"), self.stub(monkeypatch, "ega_rays")
+        code, out, err = run_cli(capsys, "ega", "--params", f"{MAX_FACE_N + 1},1,5,1")
+        assert (code, out, built) == (2, "", ([], []))
+        assert err == f"usage error: ega with rays (1 < k < a - 2) needs a <= {MAX_FACE_N}\n"
+
+    def test_largest_ega_rays_reach_ega_rays(self, monkeypatch):
+        calls = self.stub(monkeypatch, "ega_rays")
+        with pytest.raises(AssertionError, match="ega_rays reached"):
+            main(["ega", "--params", f"{MAX_FACE_N},1,5,1"])
+        assert [params.a for params, in calls] == [MAX_FACE_N]
 
 
 class TestVerify:

@@ -155,7 +155,7 @@ class TestApery:
             apery_by_class([0, 6, 9], 3)
 
     def test_negative_generator_rejected(self):
-        # a negative arc made the heap walk cycle for ever
+        # a negative arc once made the old heap walk cycle for ever
         with pytest.raises(ValueError, match="^generators must be non-negative, got -1$"):
             apery_by_class([-1, 3], 3)
 
@@ -175,7 +175,7 @@ def _count_calls(monkeypatch, name, record):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Moduli of the heap walks taken past the bitset cap."""
+    """Moduli of the round-robin walks taken past the bitset cap."""
     return _count_calls(monkeypatch, "_walk", lambda args: args[1])
 
 
@@ -186,7 +186,7 @@ def scans(monkeypatch):
 
 
 class TestBitsetKernel:
-    """The bitset closure below its cap, the heap walk past it."""
+    """The bitset closure below its cap, the round robin past it."""
 
     def test_matches_oracles_below_cap(self, walks):
         rng = random.Random(5)
@@ -223,6 +223,29 @@ class TestBitsetKernel:
         assert S.apery_set(a) == [i * b for i in range(a)]
         assert S.frobenius() == a * b - a - b
         assert walks == [a]
+
+    def test_several_generators_past_cap(self, walks):
+        # every extra generator is past the cap, so each input takes one
+        # walk; some fold a generator with gcd(g, m) > 1 along several
+        # cycles, and some drop a generator that the smaller ones reach
+        rng = random.Random(6)
+        multi_cycle = dropped = 0
+        for _ in range(200):
+            m = rng.randint(2, 12)
+            while True:
+                extra = [rng.randint(128 * m, 140 * m) for _ in range(rng.randint(1, 4))]
+                if gcd(m, *extra) == 1:
+                    break
+            gens = [m] + extra
+            walks.clear()
+            S = NumericalSemigroup(gens)
+            assert walks == [m]
+            assert list(S.generators) == dp_minimal_generators(gens)
+            assert S.apery_set(m) == sorted(dp_apery(gens, m))
+            multi_cycle += any(gcd(g, m) > 1 for g in S.generators[1:])
+            dropped += len(S.generators) < len(set(gens))
+        assert multi_cycle >= 40
+        assert dropped >= 40
 
     def test_generator_past_cap_is_fast(self, walks):
         b = 10**12 + 1
@@ -436,7 +459,7 @@ def _kunz_cases(rng):
         m = rng.randint(2, 9)
         add("random", m, [rng.randint(-1, 6) for _ in range(m - 1)])
         if rng.random() < 0.05:
-            # <m, b> with b past 128 bits per class: the heap walk runs
+            # <m, b> with b past 128 bits per class: the round robin runs
             m = rng.randint(2, 4)
             b = rng.choice([b for b in range(128 * m + 1, 140 * m) if gcd(b, m) == 1])
             z = NumericalSemigroup([m, b]).coordinates(m, KUNZ).entries[1:]
@@ -465,7 +488,7 @@ class TestKunzDifferential:
                     from_kunz_tuple(m, entry)
                 assert str(exc.value) == message
         assert 5_000 < accepted < 15_000
-        assert len(walks) > 100  # the past-cap tuples took the heap walk
+        assert len(walks) > 100  # the past-cap tuples took the round robin
 
 
 class TestKunzValidationCost:
