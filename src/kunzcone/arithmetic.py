@@ -48,9 +48,6 @@ class EgaParams:
             raise InvalidParams(
                 f"need ah + kd > a so the multiplicity is a, got {self.a * self.h + self.k * self.d}"
             )
-        for i in range(1, self.k + 1):
-            if self.a * self.h + i * self.d <= 0:
-                raise InvalidParams(f"generator ah + {i}d is not positive")
         object.__setattr__(self, "_d_inv", pow(self.d, -1, self.a))
 
     @property
@@ -65,8 +62,10 @@ class GridCoord(NamedTuple):
     y: int
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -(-p // q)
+def _spot(m: int, k: int) -> tuple[int, int]:
+    """(row, column) of Apery position m in a grid of k columns; the zero
+    element, position 0, is in row 0."""
+    return (m - 1) // k + 1, (m - 1) % k + 1
 
 
 def ega_new(a: int, h: int, k: int, d: int) -> tuple[EgaParams, NumericalSemigroup]:
@@ -105,20 +104,15 @@ def ega_apery_grid(p: EgaParams) -> list[tuple[GridCoord, int]]:
 
     Writing a - 1 = q*k + r, the grid has q full rows of k columns plus a
     partial row of r; the element at (x, y) is x*ah + ((x-1)k + y)*d.
-    Each value is cross-checked to be an Apery element via the membership
-    threshold (which must hold with equality).
+    Each value is cross-checked to be an Apery element by ``ega_contains``:
+    it lies in the semigroup and its difference with a does not.
     """
     a, h, k, d = p.a, p.h, p.k, p.d
-    q, r = divmod(a - 1, k)
-    spots = [GridCoord(x, y) for x in range(1, q + 1) for y in range(1, k + 1)]
-    spots += [GridCoord(q + 1, y) for y in range(1, r + 1)]
     out = []
-    for spot in spots:
-        m = (spot.x - 1) * k + spot.y
+    for m in range(1, a):
+        spot = GridCoord(*_spot(m, k))
         value = spot.x * a * h + m * d
-        rr = value * p._d_inv % a
-        qq = (value - rr * d) // a
-        if not (rr == m % a and qq == _ceil_div(rr, k) * h >= 0):
+        if not ega_contains(p, value) or ega_contains(p, value - a):
             raise CheckFailed(f"grid value {value} at {spot} of {p} is not an Apery element")
         out.append((spot, value))
     return out
@@ -136,7 +130,7 @@ def ega_kunz_poset(a: int, k: int, d: int) -> KunzPoset:
         raise InvalidParams(f"need 1 <= k < a and a >= 2, got a={a}, k={k}")
     if gcd(a, d) != 1:
         raise InvalidParams(f"need gcd(a, d) = 1, got a={a}, d={d}")
-    coords = [(0, 0)] + [((m - 1) // k + 1, (m - 1) % k + 1) for m in range(1, a)]
+    coords = [_spot(m, k) for m in range(a)]
     pairs = []
     for i in range(1, a):
         xi, yi = coords[i]
@@ -150,7 +144,7 @@ def ega_kunz_poset(a: int, k: int, d: int) -> KunzPoset:
 def ega_frobenius(p: EgaParams) -> int:
     """Largest gap, by the sign-split closed form."""
     a, h, k, d = p.a, p.h, p.k, p.d
-    top = _ceil_div(a - 1, k)
+    top = _spot(a - 1, k)[0]  # rows of the Apery grid
     if d > 0:
         return top * a * h + (a - 1) * d - a
     return top * (a * h + k * d) + (1 - k) * d - a
@@ -199,11 +193,7 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
         raise OutOfRegime("presented generators are not minimal; the semigroup lies on a smaller face")
     fl = a // k
     r_base = CoordTuple(a, APERY, tuple(range(a)))
-    t_entries = [0] * a
-    for m in range(1, a):
-        x = (m - 1) // k + 1
-        t_entries[m] = x * a - m * fl
-    t_base = CoordTuple(a, APERY, tuple(t_entries))
+    t_base = CoordTuple(a, APERY, tuple(_spot(m, k)[0] * a - m * fl for m in range(a)))
     u = p.d % a
     r = _primitive(apply_automorphism(r_base, u))
     t = _primitive(apply_automorphism(t_base, u))

@@ -78,11 +78,16 @@ def _glued_values(spec: GluingSpec) -> dict[int, int]:
 
 
 def glued_apery(spec: GluingSpec) -> list[int]:
-    """Ap(T; beta*m) = {b*alpha + a*beta}, cross-checked against the oracle."""
-    values = sorted(_glued_values(spec).values())
-    if values != glue(spec).apery_set(spec.beta * spec.base.multiplicity):
+    """Ap(T; beta*m) = {b*alpha + a*beta}, cross-checked against the oracle:
+    n = beta*m is in T, so v is the least element of T in its class exactly
+    when v is in T and v - n is not, which T's membership table decides."""
+    table = _glued_values(spec)
+    T, n = glue(spec), spec.beta * spec.base.multiplicity
+    if len(table) != n or not all(
+        v % n == c and T.contains(v) and not T.contains(v - n) for c, v in table.items()
+    ):
         raise CheckFailed(f"closed-form Apery set of {spec} disagrees with the oracle")
-    return values
+    return sorted(table.values())
 
 
 def _class_grid(parts, beta: int, step: int, n: int):
@@ -101,8 +106,8 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     Ap(S; m) ORs a precomputed mask of the classes b'*alpha + a'*beta
     (b' >= b, or all b' on a wrap) into the up-set row of each class
     b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  Their
-    strict part above the bottom must equal the glued semigroup's Apery
-    order (the oracle of kunz_poset_of) folded into n rows, and the labels
+    strict part above the bottom must equal the rows of the glued
+    semigroup's Apery order (the oracle of kunz_poset_of), and the labels
     must match its Apery values class by class, before the one poset is
     built; both hold the reflexive pairs and the bottom row.
     """
@@ -124,10 +129,7 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
                 masks = [masks[0]] * beta
             for c, mask in zip(classes[c1], masks):
                 rows[c] |= mask
-    values, pairs = _apery_order(glue(spec), n)
-    oracle = [0] * n
-    for c1, c2 in pairs:
-        oracle[c1] |= 1 << c2
+    values, oracle = _apery_order(glue(spec), n)
     strict = [row & ~(1 << c) for c, row in enumerate(rows)]
     strict[0] = 0
     if strict != oracle:
@@ -305,9 +307,7 @@ def factor_monoscopic(
     gens = T.generators
     for alpha in gens:
         rest = [g for g in gens if g != alpha]
-        beta = 0
-        for g in rest:
-            beta = gcd(beta, g)
+        beta = gcd(*rest)
         if beta < 2 or gcd(alpha, beta) != 1:
             continue
         S = NumericalSemigroup(g // beta for g in rest)

@@ -118,7 +118,12 @@ class KunzPoset:
                         f"{j} but their difference class does not"
                     )
         self._down = down
-        self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
+        try:
+            self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
+        except (IndexError, KeyError) as exc:
+            # classes run up from 0, so a short sequence first lacks class len(labels)
+            missing = exc.args[0] if isinstance(exc, KeyError) else len(labels)
+            raise ValueError(f"labels give no value for class {missing}") from None
 
     # -- queries ---------------------------------------------------------
 
@@ -234,8 +239,8 @@ class KunzPoset:
 
 
 def _apery_order(S: NumericalSemigroup, m: int):
-    """Apery values of S mod m and the strict, non-bottom pairs of their
-    divisibility order.
+    """Apery values of S mod m and the strict up-set bit row of each class
+    in their divisibility order (row 0, the bottom's, left empty).
 
     i precedes j exactly when a_j - a_i is itself an Apery element, which
     for elements of one class pins it to the class minimum a_{j-i}: the
@@ -244,16 +249,20 @@ def _apery_order(S: NumericalSemigroup, m: int):
     """
     values = S.coordinates(m, APERY).entries
     tight, _ = _facet_scan(values, 0)
-    pairs = [(i, (i + k) % m) for i, k in tight]
-    return values, pairs + [(k, (i + k) % m) for i, k in tight if i != k]
+    rows = [0] * m
+    for i, k in tight:
+        bit = 1 << (i + k) % m
+        rows[i] |= bit
+        rows[k] |= bit
+    return values, rows
 
 
 def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Divisibility order on Ap(S; m), labelled by the Apery values."""
-    values, pairs = _apery_order(S, m)
-    return KunzPoset(m, pairs, labels=values)
+    values, rows = _apery_order(S, m)
+    return KunzPoset._from_rows(m, rows, labels=values)
 
 
 def kunz_poset_of(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Same order as apery_poset, with ground elements as plain classes."""
-    return KunzPoset(m, _apery_order(S, m)[1])
+    return KunzPoset._from_rows(m, _apery_order(S, m)[1])

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to check the library.
 
 Everything here works by dynamic programming over an explicit membership
-table, deliberately avoiding the shortest-path machinery the package uses,
-so agreement between the two is meaningful.
+table, deliberately avoiding the package's Apery kernel (its bitset closure
+and round robin), so agreement between the two is meaningful.
 """
 
 from functools import reduce

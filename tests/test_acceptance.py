@@ -3,8 +3,8 @@
 Each criterion prints one visible PASS/FAIL line (bypassing capture) so a
 plain pytest run shows the sweep sizes and timings.  All comparisons are
 against the brute-force oracles in oracles.py or against frozen golden
-values; nothing here consults the library's own shortest-path machinery
-except as the explicitly stated subject under test.
+values; nothing here consults the library's own Apery kernel except as
+the explicitly stated subject under test.
 """
 
 import random

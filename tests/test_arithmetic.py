@@ -47,6 +47,22 @@ class TestParams:
         with pytest.raises(InvalidParams):
             EgaParams(4, 1, 2, 0)
 
+    def test_accepted_params_have_positive_generators(self):
+        # ah + id is linear in i, so ah + kd > a > 0 and ah + d > 0 (or
+        # d > 0) cover every generator; no separate positivity check exists
+        accepted = 0
+        for a in range(2, 31):
+            for h in range(1, 5):
+                for k in range(1, a):
+                    for d in range(-3 * a, 3 * a + 1):
+                        try:
+                            p = EgaParams(a, h, k, d)
+                        except InvalidParams:
+                            continue
+                        accepted += 1
+                        assert min(p.generators) > 0, p
+        assert accepted == 69674
+
     def test_range_guards(self):
         with pytest.raises(InvalidParams):
             EgaParams(4, 1, 4, 1)   # k >= a

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import kunzcone.gluing as gluing
+import kunzcone.semigroup as semigroup
 from kunzcone import (
     APERY,
     KUNZ,
@@ -178,6 +179,59 @@ sys.exit(1)
             "alpha=31, beta=3) disagrees with the oracle\n"
         )
 
+    @pytest.mark.parametrize("value", [85 - 12, 85 + 12, 62, None])
+    def test_value_off_its_class_minimum_fails(self, monkeypatch, augmented_spec, value):
+        # class 1 holds 85; moved down or up by n = 12 it stays in its class
+        # but is not the class minimum of T, 62 is the minimum of class 2,
+        # and None leaves class 1 out
+        real = gluing._glued_values
+
+        def corrupted(spec):
+            table = dict(real(spec))
+            if value is None:
+                del table[1]
+            else:
+                table[1] = value
+            return table
+
+        monkeypatch.setattr(gluing, "_glued_values", corrupted)
+        with pytest.raises(CheckFailed) as info:
+            glued_apery(augmented_spec)
+        assert str(info.value) == (
+            "closed-form Apery set of GluingSpec(base=NumericalSemigroup([4, 13, 18]), "
+            "alpha=31, beta=3) disagrees with the oracle"
+        )
+
+    def test_no_apery_closure_of_the_glued_semigroup(self, monkeypatch):
+        # alpha < beta*m, so T's multiplicity is not n and a table of T mod n
+        # would need its own closure; membership in T decides the check instead
+        specs = [GluingSpec(BASE, 8, 3), GluingSpec(BASE, 17, 5), GluingSpec(BASE, 16, 5)]
+        assert all(glue(spec).multiplicity < spec.beta * 4 for spec in specs)
+        real, calls = semigroup.apery_by_class, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semigroup, "apery_by_class", counting)
+        for spec in specs:
+            assert glued_apery(spec) == sorted(dp_apery(list(glue(spec).generators), spec.beta * 4))
+        assert calls == []
+
+
+class TestTrivialBase:
+    """S = <1>, alpha = 2, beta = 3: the factor of T = <2, 3>."""
+
+    def test_factor_monoscopic_reaches_it(self):
+        assert factor_monoscopic(NumericalSemigroup([2, 3])) == (NumericalSemigroup([1]), 2, 3)
+
+    def test_goldens(self):
+        spec = GluingSpec(NumericalSemigroup([1]), 2, 3)
+        assert glued_apery(spec) == [0, 2, 4]
+        out = glued_poset(spec).to_json_dict()
+        assert out["relations"] == [[0, 1], [0, 2], [2, 1]]
+        assert out["labels"] == {"0": 0, "1": 4, "2": 2}
+
 
 class TestGluedPoset:
     def test_equals_oracle(self, plain_spec, augmented_spec):
@@ -189,9 +243,12 @@ class TestGluedPoset:
         real = gluing._apery_order
 
         def dropped(S, n):
-            values, pairs = real(S, n)
-            strict = [p for p in pairs if p[0] != p[1]]
-            return values, [p for p in pairs if p != strict[-1]]
+            # clear the lowest set bit of the last non-empty strict row
+            values, rows = real(S, n)
+            rows = list(rows)
+            c = max(c for c, row in enumerate(rows) if row)
+            rows[c] &= rows[c] - 1
+            return values, rows
 
         monkeypatch.setattr(gluing, "_apery_order", dropped)
         with pytest.raises(CheckFailed, match="closed-form poset of .* disagrees"):
@@ -207,9 +264,11 @@ assert False, "asserts are live"
 real = gluing._apery_order
 
 def dropped(S, n):
-    values, pairs = real(S, n)
-    strict = [p for p in pairs if p[0] != p[1]]
-    return values, [p for p in pairs if p != strict[-1]]
+    values, rows = real(S, n)
+    rows = list(rows)
+    c = max(c for c, row in enumerate(rows) if row)
+    rows[c] &= rows[c] - 1
+    return values, rows
 
 gluing._apery_order = dropped
 try:

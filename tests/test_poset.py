@@ -130,6 +130,14 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             KunzPoset(1, [])
 
+    def test_short_label_list(self):
+        with pytest.raises(ValueError, match="labels give no value for class 2"):
+            KunzPoset(4, [(1, 2)], labels=[0, 1])
+
+    def test_label_dict_missing_a_class(self):
+        with pytest.raises(ValueError, match="labels give no value for class 3"):
+            KunzPoset(4, [(1, 2)], labels={0: 0, 1: 5, 2: 10})
+
     def test_pairs_reduce_mod_n(self):
         P = KunzPoset(3, [(4, 5)])
         assert P.leq(1, 2)
