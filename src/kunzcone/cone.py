@@ -6,18 +6,26 @@ exact integer linear algebra.  Ray or vertex enumeration is deliberately
 absent: every theorem implemented here needs only the equality data.
 
 The tight pairs also live as Z_n bit rows up[a] = {a+u : (a, u) tight},
-read by the poset, the consistency walk and the echelon's row choice.
-The row r(a, w) = e_a + e_w - e_{a+w} of a tight pair satisfies
-r(a, w) = r(a, u) + r(a+u, v) - r(u, v) for w = u + v, so
-``_spanning_pairs`` leaves it out when (a, u), (a+u, v) and (u, v) are
-all tight and w has a place in a Kahn order of a -> a+u (w is on or
-above no cycle) that is at or before a's; u and v precede w, so by
-induction on that place every row left out is in the span of the rest.
+read by the poset, the consistency walk and ``_FaceSpan``, which spans
+the rows r(a, w) = e_a + e_w - e_{a+w} by substitution along a Kahn order
+of a -> a+u.  A class t reached by a tight pair and on or above no cycle
+is pinned: its first pair (a, w) comes before t, and c_t = c_a + c_w;
+each other class is free, c_t a unit vector over the free classes.  Let
+phi(e_t) = c_t, and c'_t be c_t on the free columns.  For pinned t,
+e_t - c'_t = (e_a - c'_a) + (e_w - c'_w) - r(a, w) is in the span by
+induction, and these rows span ker phi, of dimension |pinned|.  A row r
+is (r - phi(r)') + phi(r)', so the span is ker phi (+) R' for
+R = span{c_i + c_j - c_{i+j} : (i, j) tight}: the rank is |pinned| +
+rank R, rho is in the span iff phi(rho) is in R, and class h is pinned
+to zero iff c_h is in R.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from collections.abc import Mapping
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 from .errors import InconsistentFace, NotAUnit, NotInCone
 from .linalg import IntegerEchelon
@@ -36,13 +44,8 @@ class ConeFace:
     over Z_n bit rows (not exhaustive, but enough to catch equality systems
     that force some recorded-strict facet) before subgroup or poset extraction.
 
-    Dimension, subgroup and the span test all come from one reduced
-    integer echelon, fed the spanning tight rows of the module docstring
-    in Kahn order of their target a+w, so most new pivots land on a fresh
-    column.  The dimension is n-1 minus its rank.  A class h lies in the
-    Kunz subgroup when e_h is in the row space, and in reduced form that
-    holds exactly when column h-1 is a pivot whose row has no other
-    entries, so the subgroup is read off the echelon without queries.
+    Dimension, subgroup and the span test come from one ``_FaceSpan``,
+    built on first use; the dimension is n-1 minus its rank.
     """
 
     def __init__(self, modulus: int, tight, trusted: bool = False):
@@ -86,19 +89,9 @@ class ConeFace:
         """Tight pairs with the symmetric duplicates removed, sorted."""
         return sorted((i, j) for i, j in self.tight if i <= j)
 
-    def _equality(self, i: int, j: int) -> dict[int, int]:
-        """Row of facet (i,j) as {column c: coefficient of x_{c+1}}."""
-        row = {i - 1: 1}
-        row[j - 1] = row.get(j - 1, 0) + 1
-        row[(i + j) % self.modulus - 1] = -1
-        return row
-
-    def _tight_echelon(self) -> IntegerEchelon:
+    def _tight_echelon(self) -> "_FaceSpan":
         if self._echelon is None:
-            ech = IntegerEchelon(self.modulus - 1)
-            for a, w in _spanning_pairs(self.modulus, self._up):
-                ech.add(self._equality(a, w))
-            self._echelon = ech
+            self._echelon = _FaceSpan(self.modulus, self._up)
         return self._echelon
 
     @property
@@ -116,10 +109,10 @@ class ConeFace:
         antisymmetry is not asked, as classes pinned to zero form cycles.
         """
         n = self.modulus
-        ech = self._tight_echelon()
+        y = self._tight_echelon()._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
         for i in range(1, n):
             for j in range(i, n):
-                if (i + j) % n and (i, j) not in self.tight and ech.contains(self._equality(i, j)):
+                if (i + j) % n and (i, j) not in self.tight and y[i] + y[j] == y[(i + j) % n]:
                     raise InconsistentFace(
                         f"equalities force facet ({i},{j}) which is recorded strict"
                     )
@@ -166,32 +159,80 @@ class ConeFace:
         }
 
 
-def _spanning_pairs(n: int, up: list[int]) -> list[tuple[int, int]]:
-    """Tight pairs (a, w) whose rows span all tight rows, in Kahn order of
-    a+w; w is at or before a, and pairs are left out as the module says."""
-    order, rest, layer = [], list(range(1, n)), True
-    while layer:  # Kahn by layers; what stays in rest is on or above a cycle
-        reach = 0
-        for a in rest:
-            reach |= up[a]
-        layer = [b for b in rest if not reach >> b & 1]
-        order += layer
-        rest = [b for b in rest if reach >> b & 1]
-    pos = {b: i for i, b in enumerate(order)}
-    # doubled masks: (x | x << n) >> (n - a) holds x rotated by a in its low n bits
-    finite = sum(1 << b for b in order) * ((1 << n) + 1)
-    dbl = [row | row << n for row in up]
-    before, kept = 0, []
-    for a in order + rest:
-        before |= 1 << a
-        s = n - a
-        own = up[a] & (before | before << n) >> s
-        implied = 0  # targets a+w in up[k] with (k-a, a+w-k) tight, k in up[a]
-        for k in _bits(up[a]):
-            implied |= up[k] & dbl[k - a] >> s
-        for t in _bits(own & ~(implied & finite >> s)):
-            kept.append((pos.get(t, n), a, (t - a) % n))
-    return [(a, w) for _, a, w in sorted(kept)]
+class _FaceSpan:
+    """Span of a face's tight rows by substitution, as the module says.
+    The rows c fails reach the echelon of R in Kahn order of a+w unless
+    y_a + y_w == y_{a+w} (``_values``) puts them in R; y is refreshed after
+    a redundant add, so the next add raises the rank."""
+
+    def __init__(self, n: int, up: list[int]):
+        order, rest, layer, depth, first, reached = [], list(range(1, n)), True, 0, [0] * n, 0
+        while layer:  # Kahn by layers; what stays in rest is on or above a cycle
+            reach = reduce(or_, [up[a] for a in rest], 0)
+            layer = [b for b in rest if not reach >> b & 1]
+            rest = [b for b in rest if reach >> b & 1]
+            order, depth = order + layer, depth + bool(layer)
+            for a in layer:  # the first tight pair (a, t - a) to reach t, a earliest
+                for t in _bits(up[a] & ~reached):
+                    first[t] = a
+                reached |= up[a]
+        self._free = [t for t in order if not reached >> t & 1] + rest
+        self._pinned = [t for t in order if reached >> t & 1]
+        self._first, self._depth = first, depth
+        self._relations = rel = IntegerEchelon(len(self._free))
+        c, field = self._values()
+        pos = {t: i for i, t in enumerate(order + rest)}
+        rows = []  # tight rows (a, w), w >= a, that c fails
+        for a in range(1, n):  # a + w for w >= a: [0, a) and [2a, n), or [2a - n, a) if 2a >= n
+            half = (1 << a) - (1 << 2 * a - n) if 2 * a >= n else ~(1 << 2 * a) + (1 << a)
+            for t in _bits(up[a] & half):
+                w = t - a if t > a else t - a + n
+                if c[a] + c[w] != c[t]:
+                    rows.append((pos[t], a, w, t))
+        mask, y = (1 << field) - 1, c
+        for _, a, w, t in sorted(rows):
+            if y[a] + y[w] != y[t]:
+                s, u = c[a] + c[w], c[t]  # the fields where they differ give the row
+                row = {f: (s >> f * field & mask) - (u >> f * field & mask)
+                       for f in {k // field for k in _bits(s ^ u)}}
+                if not rel.add(row):
+                    y = self._values()[0]
+        self.rank = len(self._pinned) + rel.rank
+        self._kernel_values = self._values()[0]  # y for the final R
+
+    def _values(self, slack: int = 3) -> tuple[list[int], int]:
+        """y_h = c_h . K (K a kernel basis of R; y = c while R = 0) packed in
+        signed fields, and their width: c entries in Kahn layer l sum to at
+        most 2**l, so for |K| <= top a sum of y with |coefficients| adding to
+        at most ``slack`` is 0 only if each field is.  y_t = y_a + y_w."""
+        rows = self._relations._rows  # reduced: pivot -> (d, tail on non-pivots)
+        scale = lcm(*(d for d, _ in rows.values()))
+        top = max([scale] + [scale // d * abs(v) for d, tl in rows.values() for v in tl.values()])
+        field = self._depth + top.bit_length() + slack.bit_length() + 1
+        shift = {j: i * field for i, j in enumerate(
+            j for j in range(self._relations.width) if j not in rows)}
+        y = [0] * (n := len(self._first))
+        for f, t in enumerate(self._free):  # a non-pivot f holds scale in its own field
+            d, tail = rows.get(f, (1, {f: -1}))
+            y[t] = sum(-(scale // d) * v << shift[j] for j, v in tail.items())
+        for t in self._pinned:
+            y[t] = y[self._first[t]] + y[(t - self._first[t]) % n]
+        return y, field
+
+    def contains(self, row) -> bool:
+        """Whether a dense or sparse row over x_1..x_{n-1} is in the span:
+        phi(row) is in R exactly when phi(row) . K = sum row_c y_{c+1} is 0."""
+        n, sparse = len(self._first), isinstance(row, Mapping)
+        if not all(0 <= col < n - 1 for col in row) if sparse else len(row) != n - 1:
+            raise ValueError(f"row does not fit width {n - 1}")
+        items = [(col, v) for col, v in (row.items() if sparse else enumerate(row)) if v]
+        slack = sum(abs(v) for _, v in items)
+        y = self._kernel_values if slack <= 3 else self._values(slack)[0]
+        return not sum(v * y[col + 1] for col, v in items)
+
+    def unit_columns(self) -> list[int]:
+        """Columns h-1 with e_h in the span, ascending: c_h . K = 0."""
+        return [h - 1 for h in range(1, len(self._first)) if not self._kernel_values[h]]
 
 
 def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:

@@ -77,15 +77,17 @@ def _glued_values(spec: GluingSpec) -> dict[int, int]:
     return table
 
 
-def glued_apery(spec: GluingSpec) -> list[int]:
-    """Ap(T; beta*m) = {b*alpha + a*beta}, cross-checked against the oracle:
-    n = beta*m is in T, so v is the least element of T in its class exactly
-    when v is in T and v - n is not, which T's membership table decides."""
-    table = _glued_values(spec)
-    T, n = glue(spec), spec.beta * spec.base.multiplicity
-    if len(table) != n or not all(
+def _is_apery_table(T: NumericalSemigroup, n: int, table: dict[int, int]) -> bool:
+    """Whether ``table`` is Ap(T; n), n in T: each v in T, each v - n not."""
+    return len(table) == n and all(
         v % n == c and T.contains(v) and not T.contains(v - n) for c, v in table.items()
-    ):
+    )
+
+
+def glued_apery(spec: GluingSpec) -> list[int]:
+    """Ap(T; beta*m) = {b*alpha + a*beta}, checked on T's membership table."""
+    table = _glued_values(spec)
+    if not _is_apery_table(glue(spec), spec.beta * spec.base.multiplicity, table):
         raise CheckFailed(f"closed-form Apery set of {spec} disagrees with the oracle")
     return sorted(table.values())
 
@@ -105,11 +107,10 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     element) alpha precedes a' - a.  Each base pair a, a' with a' - a in
     Ap(S; m) ORs a precomputed mask of the classes b'*alpha + a'*beta
     (b' >= b, or all b' on a wrap) into the up-set row of each class
-    b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  Their
-    strict part above the bottom must equal the rows of the glued
-    semigroup's Apery order (the oracle of kunz_poset_of), and the labels
-    must match its Apery values class by class, before the one poset is
-    built; both hold the reflexive pairs and the bottom row.
+    b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  The
+    labels must pass ``glued_apery``'s membership test, so they are T's
+    Apery values, and the rows' strict part must equal the order one facet
+    scan reads off them (kunz_poset_of's oracle, with no Apery closure).
     """
     S, alpha, beta = spec.base, spec.alpha, spec.beta
     m = S.multiplicity
@@ -129,13 +130,12 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
                 masks = [masks[0]] * beta
             for c, mask in zip(classes[c1], masks):
                 rows[c] |= mask
-    values, oracle = _apery_order(glue(spec), n)
+    if not _is_apery_table(glue(spec), n, table):
+        raise CheckFailed(f"closed-form Apery labels of {spec} disagree with the oracle")
     strict = [row & ~(1 << c) for c, row in enumerate(rows)]
     strict[0] = 0
-    if strict != oracle:
+    if strict != _apery_order([table[c] for c in range(n)]):
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
-    if table != dict(enumerate(values)):
-        raise CheckFailed(f"closed-form Apery labels of {spec} disagree with the oracle")
     return KunzPoset._from_rows(n, rows, labels=table)
 
 

@@ -238,31 +238,30 @@ class KunzPoset:
         return "\n".join(lines) + "\n"
 
 
-def _apery_order(S: NumericalSemigroup, m: int):
-    """Apery values of S mod m and the strict up-set bit row of each class
-    in their divisibility order (row 0, the bottom's, left empty).
+def _apery_order(values) -> list[int]:
+    """The strict up-set bit row of each class in the divisibility order
+    of the Apery values ``values`` (row 0, the bottom's, left empty).
 
     i precedes j exactly when a_j - a_i is itself an Apery element, which
     for elements of one class pins it to the class minimum a_{j-i}: the
     tight facet a_i + a_k = a_{i+k} puts i and k below i+k.  (The tuple
     lies in the cone, so the facet scan meets no violated facet.)
     """
-    values = S.coordinates(m, APERY).entries
     tight, _ = _facet_scan(values, 0)
-    rows = [0] * m
+    rows = [0] * len(values)
     for i, k in tight:
-        bit = 1 << (i + k) % m
+        bit = 1 << (i + k) % len(values)
         rows[i] |= bit
         rows[k] |= bit
-    return values, rows
+    return rows
 
 
 def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Divisibility order on Ap(S; m), labelled by the Apery values."""
-    values, rows = _apery_order(S, m)
-    return KunzPoset._from_rows(m, rows, labels=values)
+    values = S.coordinates(m, APERY).entries
+    return KunzPoset._from_rows(m, _apery_order(values), labels=values)
 
 
 def kunz_poset_of(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Same order as apery_poset, with ground elements as plain classes."""
-    return KunzPoset._from_rows(m, _apery_order(S, m)[1])
+    return KunzPoset._from_rows(m, _apery_order(S.coordinates(m, APERY).entries))

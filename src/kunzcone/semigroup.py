@@ -307,9 +307,9 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     bijection (Kunz 1987; Rosales, Garcia-Sanchez, Garcia-Garcia and
     Branco 2002) these integer points are the semigroups containing m:
     with a_s = m*z_s + s, z is one exactly when <m, a_1, ..., a_{m-1}> has
-    Apery table a mod m.  So building that semigroup, which minimalizes
-    its generators, decides the tuple; ``_facet_scan`` runs only on a
-    mismatch, to name the first violated inequality.
+    Apery table a mod m, that is (a_s and m are generators) when no
+    a_s - m is in it, which its own membership table decides.
+    ``_facet_scan`` runs only on a rejection, to name the violated facet.
     """
     if isinstance(entries, CoordTuple):
         if entries.kind != KUNZ:
@@ -334,9 +334,9 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")
     apery = [m * full[s] + s for s in range(m)]
     S = NumericalSemigroup([m] + apery[1:])
-    if S._apery_values(m) == apery:
+    if not any(S.contains(a - m) for a in apery[1:]):
         return S
-    # a mismatch means some inequality fails, so the scan finds one
+    # a rejection means some inequality fails, so the scan finds one
     _, (i, j) = _facet_scan(full, 1)
     s, plus = (i + j, "") if i + j < m else (i + j - m, " + 1")
     raise NotInPolyhedron(

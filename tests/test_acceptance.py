@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+import kunzcone.semigroup as semigroup
 from kunzcone import (
     APERY,
     EgaParams,
@@ -271,8 +272,19 @@ def test_criterion_5_extremal_rays(capsys):
     )
 
 
-def test_criterion_6_gluing_suite(gluing_sweep, capsys):
+def test_criterion_6_gluing_suite(gluing_sweep, capsys, monkeypatch):
     t0 = time.time()
+    # T's membership table certifies the closed forms: no Apery closure
+    # runs, also where T's multiplicity is not beta*m
+    assert any(glue(spec).multiplicity < spec.beta * spec.base.multiplicity
+               for spec in gluing_sweep)
+    real_close, closures = semigroup._close, []
+
+    def counting(*args):
+        closures.append(args[1])
+        return real_close(*args)
+
+    monkeypatch.setattr(semigroup, "_close", counting)
     wrap_bad = []
     for spec in gluing_sweep:
         glued_apery(spec)            # closed form vs oracle, asserted inside
@@ -297,11 +309,12 @@ def test_criterion_6_gluing_suite(gluing_sweep, capsys):
         T = glue(spec)
         n = spec.beta * spec.base.multiplicity
         assert glued_apery(spec) == sorted(dp_apery(T.generators, n)), spec
-    ok = not wrap_bad
+    ok = not wrap_bad and not closures
     announce(
         capsys, 6, "gluing Apery/poset closed forms + wrap covers", ok,
         f"{len(gluing_sweep)} gluings, 200 slow-oracle spot checks, "
-        f"{len(wrap_bad)} wrap mismatches, {time.time() - t0:.1f}s",
+        f"{len(wrap_bad)} wrap mismatches, {len(closures)} Apery closures, "
+        f"{time.time() - t0:.1f}s",
     )
 
 

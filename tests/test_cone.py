@@ -19,6 +19,7 @@ from kunzcone import (
     NumericalSemigroup,
     apery_poset,
     apply_automorphism,
+    ega_face_dimension,
     ega_rays,
     face_of,
     integer_rank,
@@ -281,9 +282,30 @@ def _pinned_point(rng, n, d):
     return CoordTuple(n, APERY, tuple(a[i % d] + b[i % d] for i in range(n)))
 
 
+def _matches_full_echelon(n, tight, facet_row=None):
+    """The face span of ``tight`` against an echelon fed every tight row:
+    rank, unit columns, and membership of every facet row (dense rows
+    unless another ``facet_row`` is given)."""
+    facet_row = facet_row or _facet_row
+    F = ConeFace(n, tight)
+    full = IntegerEchelon(n - 1)
+    for i, j in F.canonical_tight():
+        full.add(facet_row(n, i, j))
+    ech = F._tight_echelon()
+    assert ech.rank == full.rank, (n, tight)
+    assert ech.unit_columns() == full.unit_columns(), (n, tight)
+    for i in range(1, n):
+        for j in range(i, n):
+            if (i + j) % n:
+                row = facet_row(n, i, j)
+                assert ech.contains(row) == full.contains(row), (n, tight, i, j)
+    return F, full
+
+
 class TestSpanningRows:
-    """The face echelon sees only a spanning subset of the tight rows; its
-    answers must be those of an echelon fed every tight row."""
+    """The face span substitutes along the Kahn order and sends only the
+    rows the substitution fails to an echelon; its answers must be those
+    of an echelon fed every tight row."""
 
     @staticmethod
     def _tight_sets():
@@ -309,24 +331,64 @@ class TestSpanningRows:
     def test_face_echelon_matches_full_echelon(self):
         kinds = {"pinned": 0, "rejected": 0}
         for n, tight in self._tight_sets():
-            F = ConeFace(n, tight)
-            full = IntegerEchelon(n - 1)
-            for i, j in F.canonical_tight():
-                full.add(_facet_row(n, i, j))
-            ech = F._tight_echelon()
-            assert ech.rank == full.rank, (n, tight)
-            assert ech.unit_columns() == full.unit_columns(), (n, tight)
-            for i in range(1, n):
-                for j in range(i, n):
-                    if (i + j) % n:
-                        row = _facet_row(n, i, j)
-                        assert ech.contains(row) == full.contains(row), (n, tight, i, j)
+            F, full = _matches_full_echelon(n, tight)
             kinds["pinned"] += bool(full.unit_columns())
             try:
                 F.kunz_subgroup
             except InconsistentFace:
                 kinds["rejected"] += 1
         assert kinds["pinned"] > 500 and kinds["rejected"] > 500, kinds
+
+    def test_contains_rows_with_large_coefficients(self):
+        # past a coefficient sum of 3 the packed fields are widened per row
+        rng = random.Random(139)
+        for k, (n, tight) in enumerate(self._tight_sets()):
+            if k % 7 or n < 3:
+                continue
+            F, full = _matches_full_echelon(n, tight)
+            ech = F._tight_echelon()
+            combo = [0] * (n - 1)
+            for i, j in F.canonical_tight():
+                c = rng.randint(-9, 9)
+                combo = [a + c * b for a, b in zip(combo, _facet_row(n, i, j))]
+            noise = [rng.randint(-9, 9) for _ in range(n - 1)]
+            for row in (combo, noise, [a + b for a, b in zip(combo, noise)]):
+                assert ech.contains(row) == full.contains(row), (n, tight, row)
+                sparse = {c: v for c, v in enumerate(row) if v}
+                assert ech.contains(sparse) == full.contains(row), (n, tight, row)
+            with pytest.raises(ValueError):
+                ech.contains([0] * n)
+            with pytest.raises(ValueError):
+                ech.contains({n - 1: 1})
+
+    def test_arithmetic_faces(self):
+        # wide faces: many atoms, many trades between them
+        rng = random.Random(137)
+        params = [p for p in iter_ega_params(40, 3) if abs(p.d) <= 3]
+        for p in [p for p in params if p.h == 1 and p.a in (12, 40)] + rng.sample(params, 60):
+            S = NumericalSemigroup(p.generators)
+            _matches_full_echelon(p.a, face_of(S.coordinates(p.a, APERY)).tight, _sparse_row)
+
+    def test_long_interval(self):
+        S = NumericalSemigroup(range(300, 450))
+        F, _ = _matches_full_echelon(300, face_of(S.coordinates(300, APERY)).tight, _sparse_row)
+        assert F.dimension == ega_face_dimension(300, 149)
+
+    def test_fibonacci_chain_fields_never_carry(self):
+        # 44 is a root of x^2 = x + 1 and generates the units mod 61, so
+        # s_k = 44**k meets every nonzero class and s_{k-2} + s_{k-1} = s_k:
+        # the chain pins s_k to c = (F_{k-1}, F_k), entries up to F_59 > 2**40,
+        # and s_i + s_{i+2} = s_{i+14} adds rows of that size
+        n, s = 61, [pow(44, k, 61) for k in range(60)]
+        chain = [(s[k - 2], s[k - 1]) for k in range(2, 60)]
+        fib = [0, 1]
+        while len(fib) < 60:
+            fib.append(fib[-1] + fib[-2])
+        c, field = ConeFace(n, chain)._tight_echelon()._values()  # R = 0: y is c
+        fields = [(c[s[k]] & (1 << field) - 1, c[s[k]] >> field) for k in range(2, 60)]
+        assert fields == [(fib[k - 1], fib[k]) for k in range(2, 60)]
+        for extra in ([], [(s[0], s[2])], [(s[i], s[i + 2]) for i in range(46)]):
+            _matches_full_echelon(n, chain + extra)
 
     def test_large_faces_send_few_rows(self, monkeypatch):
         sent = []
@@ -485,6 +547,14 @@ def _facet_row(n, i, j):
     row[j] += 1
     row[(i + j) % n] -= 1
     return row[1:]
+
+
+def _sparse_row(n, i, j):
+    """_facet_row as {column: coefficient}, zeros left out."""
+    row = {}
+    for c, v in ((i, 1), (j, 1), ((i + j) % n, -1)):
+        row[c - 1] = row.get(c - 1, 0) + v
+    return {c: v for c, v in row.items() if v}
 
 
 def _numpy_rank(numpy, rows, width):

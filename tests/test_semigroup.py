@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import kunzcone.semigroup as semigroup
 from kunzcone import (
     APERY,
     KUNZ,
@@ -367,6 +368,30 @@ class TestKunzRoundTrip:
             assert z[gens[0]] == 0
             assert from_kunz_tuple(m, z).generators == tuple(dp_minimal_generators(gens))
             cases += 1
+
+    def test_no_apery_closure_at_the_second_generator(self, monkeypatch):
+        # m above the multiplicity: a_s - m outside S decides each class
+        # from S's own membership table, with no Apery table mod m
+        rng = random.Random(505)
+        trips = []
+        while len(trips) < 300:
+            gens = random_gens(rng, 2, 12, spread=3, extra_hi=4)
+            if gens is None:
+                continue
+            S = NumericalSemigroup(gens)
+            if S.embedding_dimension > 1:
+                m = S.generators[1]
+                trips.append((S, m, S.coordinates(m, KUNZ)))
+        real, calls = semigroup.apery_by_class, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semigroup, "apery_by_class", counting)
+        for S, m, z in trips:
+            assert from_kunz_tuple(m, z) == S
+        assert calls == []
 
     @pytest.mark.parametrize(
         "m, z, message",
