@@ -198,9 +198,10 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     r = _primitive(apply_automorphism(r_base, u))
     t = _primitive(apply_automorphism(t_base, u))
 
-    face = face_of(S.coordinates(a, APERY))
+    up = face_of(S.coordinates(a, APERY))._up
     for name, ray in (("r", r), ("t", t)):
-        if not face.tight < face_of(ray).tight:
+        ray_up = face_of(ray)._up  # the rows of a strict superset of the tight pairs
+        if up == ray_up or any(row & ~ray_row for row, ray_row in zip(up, ray_up)):
             raise CheckFailed(f"ray {name} of {p} does not sharpen the face's tight set")
     if r.entries == t.entries:
         raise CheckFailed(f"rays of {p} are not independent")

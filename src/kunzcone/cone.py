@@ -1,12 +1,12 @@
 """The group cone over Z_n, its Kunz-polyhedron translate, and their faces.
 
-A face is stored as the set of facet index pairs (i, j) that hold with
-equality; the subgroup, poset, and dimension are derived from that set by
-exact integer linear algebra.  Ray or vertex enumeration is deliberately
-absent: every theorem implemented here needs only the equality data.
+A face is stored as the Z_n bit rows up[a] = {a+u : (a, u) tight} of the
+facet index pairs that hold with equality, as the facet scan emits them.
+The subgroup, poset, and dimension are derived from them by exact integer
+linear algebra.  Ray or vertex enumeration is deliberately absent: every
+theorem implemented here needs only the equality data.
 
-The tight pairs also live as Z_n bit rows up[a] = {a+u : (a, u) tight},
-read by the poset, the consistency walk and ``_FaceSpan``, which spans
+The poset, the consistency walk and ``_FaceSpan`` read the rows; the latter spans
 the rows r(a, w) = e_a + e_w - e_{a+w} by substitution along a Kahn order
 of a -> a+u.  A class t reached by a tight pair and on or above no cycle
 is pinned: its first pair (a, w) comes before t, and c_t = c_a + c_w;
@@ -39,6 +39,8 @@ POLYHEDRON = "polyhedron"
 class ConeFace:
     """A face of the group cone C(Z_n), given by its tight facet set.
 
+    The set lives only in the bit rows (see the module): ``tight`` is built
+    from them on first read, and equality and hashing compare the rows.
     Faces produced by face_of are genuine and skip consistency checks;
     hand-built tight sets are vetted by a span test and a transitivity walk
     over Z_n bit rows (not exhaustive, but enough to catch equality systems
@@ -52,7 +54,6 @@ class ConeFace:
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         n = modulus
-        sym = set()
         up = [0] * n
         for i, j in tight:
             i %= n
@@ -60,27 +61,31 @@ class ConeFace:
             t = (i + j) % n
             if i == 0 or j == 0 or t == 0:
                 raise ValueError(f"({i},{j}) does not index a facet of C(Z_{n})")
-            sym.add((i, j))
-            sym.add((j, i))
             up[i] |= 1 << t
             up[j] |= 1 << t
-        self.modulus = n
-        self.tight = frozenset(sym)
+        self.modulus, self._up, self._trusted = n, up, trusted
+        self._tight = self._echelon = self._subgroup = self._poset = None
+
+    @classmethod
+    def _from_rows(cls, modulus: int, up: list[int], trusted: bool = False) -> "ConeFace":
+        """As ``__init__`` from the rows up[a] themselves, unchecked."""
+        self = cls(modulus, (), trusted)
         self._up = up
-        self._trusted = trusted
-        self._echelon = None
-        self._subgroup = None
-        self._poset = None
+        return self
+
+    @property
+    def tight(self) -> frozenset:
+        """The tight pairs (a, u), both orders of each facet."""
+        if self._tight is None:
+            n, up = self.modulus, self._up
+            self._tight = frozenset((a, (t - a) % n) for a in range(n) for t in _bits(up[a]))
+        return self._tight
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ConeFace)
-            and self.modulus == other.modulus
-            and self.tight == other.tight
-        )
+        return isinstance(other, ConeFace) and (self.modulus, self._up) == (other.modulus, other._up)
 
     def __hash__(self):
-        return hash((self.modulus, self.tight))
+        return hash((self.modulus, tuple(self._up)))
 
     def __repr__(self):
         return f"ConeFace(modulus={self.modulus}, tight={len(self.canonical_tight())} facets)"
@@ -108,15 +113,15 @@ class ConeFace:
         Difference closure holds because the tight set is symmetric;
         antisymmetry is not asked, as classes pinned to zero form cycles.
         """
-        n = self.modulus
+        n, up = self.modulus, self._up
         y = self._tight_echelon()._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
         for i in range(1, n):
             for j in range(i, n):
-                if (i + j) % n and (i, j) not in self.tight and y[i] + y[j] == y[(i + j) % n]:
+                t = (i + j) % n
+                if t and not up[i] >> t & 1 and y[i] + y[j] == y[t]:
                     raise InconsistentFace(
                         f"equalities force facet ({i},{j}) which is recorded strict"
                     )
-        up = self._up
         for a in range(1, n):
             for b in _bits(up[a]):
                 missing = up[b] & ~up[a] & ~(1 << a)
@@ -251,14 +256,14 @@ def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:
         raise ValueError(f"kind must be {CONE!r} or {POLYHEDRON!r}")
     n = x.modulus
     # the two families differ only by the +1 on facets with i + j > n
-    tight, bad = _facet_scan(x.entries, 0 if kind == CONE else 1)
+    up, bad = _facet_scan(x.entries, 0 if kind == CONE else 1)
     if bad is not None:
         i, j = bad
         v, plus = ("x", "") if kind == CONE else ("z", " + 1" if i + j > n else "")
         raise NotInCone(
             f"violated: {v}_{i} + {v}_{j}{plus} >= {v}_{(i + j) % n} at indices ({i},{j})"
         )
-    return ConeFace(n, tight, trusted=True)
+    return ConeFace._from_rows(n, up, trusted=True)
 
 
 def apply_automorphism(obj, u: int):

@@ -268,7 +268,7 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
         raise ValueError("need at least one sample")
     faces = [face_of(w) for w in samples]
     for f in faces[1:]:
-        if f.tight != faces[0].tight:
+        if f != faces[0]:
             raise SampleNotInterior("samples lie on different faces of the cone")
     F = faces[0]
     P = F.kunz_poset

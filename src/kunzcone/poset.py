@@ -6,11 +6,10 @@ bitmask per ground element, which keeps closure and reduction exact and
 fast at the sizes that occur here (n up to a few hundred).
 
 Construction validates the order in one walk over the set bits of each
-row: every strict relation a -> b is checked for antisymmetry,
-transitivity and difference closure, and recorded in the down-sets, so
-the cost is O(relations) rather than O(size^2) per check.  Heights are
-computed iteratively along a linear extension, so long chains need no
-recursion.
+row that also yields the covers: OR-ing the strict rows above a tests
+transitivity and antisymmetry once per row, and a's cover row is what of
+its strict row that union misses.  Difference closure is tested per
+relation.  Heights are relaxed along the cover rows, without recursion.
 """
 
 from __future__ import annotations
@@ -93,37 +92,45 @@ class KunzPoset:
         return [1 << i for i in range(size)]
 
     def _validate(self, up: list[int], labels) -> None:
-        """Add the bottom row, then check every strict relation i -> j of
-        the reflexive rows ``up`` in one walk, filling the down-sets."""
+        """Add the bottom row, then check the reflexive rows ``up`` in one
+        walk that keeps each row's covers: its strict row less the strict
+        rows above it.  ``_raise_first`` names a failing row's first fault."""
         size = len(up)
         up[0] = (1 << size) - 1
         self._up = up
-        down = [1 << i for i in range(size)]
+        self._covers = covers = [0] * size
         for i, row in enumerate(up):
-            bit = 1 << i
-            outside = ~row | bit
-            rest = row ^ bit
+            bit, above = 1 << i, 0
+            rest = strict = row ^ bit
             while rest:
                 low = rest & -rest
                 rest ^= low
                 j = low.bit_length() - 1
-                down[j] |= bit
-                if up[j] & outside:
-                    if up[j] & bit:
-                        raise ValueError(f"antisymmetry fails between classes {i} and {j}")
-                    raise ValueError(f"relation is not transitive at class {i}")
+                above |= up[j] ^ low
                 if not up[j - i] & low:  # j - i wraps mod size as a negative index
-                    raise ValueError(
-                        f"difference closure fails: {i} precedes "
-                        f"{j} but their difference class does not"
-                    )
-        self._down = down
+                    self._raise_first(i)
+            if above & (~row | bit):  # a row above leaves i's row or holds i
+                self._raise_first(i)
+            covers[i] = strict & ~above
         try:
             self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
         except (IndexError, KeyError) as exc:
             # classes run up from 0, so a short sequence first lacks class len(labels)
             missing = exc.args[0] if isinstance(exc, KeyError) else len(labels)
             raise ValueError(f"labels give no value for class {missing}") from None
+
+    def _raise_first(self, i: int):
+        """Raise for the first relation i -> j, in ascending j, that breaks
+        antisymmetry, transitivity or difference closure."""
+        up, bit = self._up, 1 << i
+        for j in _bits(up[i] ^ bit):
+            if up[j] & (~up[i] | bit):
+                if up[j] & bit:
+                    raise ValueError(f"antisymmetry fails between classes {i} and {j}")
+                raise ValueError(f"relation is not transitive at class {i}")
+            if not up[j - i] >> j & 1:
+                raise ValueError(f"difference closure fails: {i} precedes "
+                                 f"{j} but their difference class does not")
 
     # -- queries ---------------------------------------------------------
 
@@ -141,34 +148,24 @@ class KunzPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs (a, b) with b immediately above a, sorted."""
-        down = self._down
-        out = []
-        for i, row in enumerate(self._up):
-            rest = strict_up = row & ~(1 << i)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                if not strict_up & down[j] & ~low:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i, row in enumerate(self._covers) for j in _bits(row)]
 
     def atoms(self) -> list[int]:
         """Elements covering the bottom class."""
-        return sorted(b for a, b in self.covers() if a == self.ground[0])
+        return list(_bits(self._covers[0]))
 
     def _grading(self, covers):
         """Height of each ground index (length of the longest chain from
         the bottom) and the first of ``covers`` that skips a level, or None.
 
-        A strictly lower element has a strictly smaller down-set, so
-        visiting indices by down-set size is a linear extension and every
-        element below has its height before it is needed.
+        A strictly lower element has a strictly larger up-set, so visiting
+        indices by decreasing up-set size is a linear extension, and each
+        height is final before it is pushed along the cover rows.
         """
-        down = self._down
-        h = [0] * len(down)
-        for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
-            h[i] = max((h[j] + 1 for j in _bits(down[i] & ~(1 << i))), default=0)
+        h = [0] * len(self._up)
+        for i in sorted(range(len(h)), key=lambda i: -self._up[i].bit_count()):
+            for j in _bits(self._covers[i]):
+                h[j] = max(h[j], h[i] + 1)
         skip = next(((a, b) for a, b in covers if h[b] != h[a] + 1), None)
         return h, skip
 
@@ -244,16 +241,11 @@ def _apery_order(values) -> list[int]:
 
     i precedes j exactly when a_j - a_i is itself an Apery element, which
     for elements of one class pins it to the class minimum a_{j-i}: the
-    tight facet a_i + a_k = a_{i+k} puts i and k below i+k.  (The tuple
-    lies in the cone, so the facet scan meets no violated facet.)
+    tight facet a_i + a_k = a_{i+k} puts i and k below i+k, so these are
+    the facet scan's rows.  (The tuple lies in the cone, so the scan meets
+    no violated facet.)
     """
-    tight, _ = _facet_scan(values, 0)
-    rows = [0] * len(values)
-    for i, k in tight:
-        bit = 1 << (i + k) % len(values)
-        rows[i] |= bit
-        rows[k] |= bit
-    return rows
+    return _facet_scan(values, 0)[0]
 
 
 def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:

@@ -334,7 +334,8 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")
     apery = [m * full[s] + s for s in range(m)]
     S = NumericalSemigroup([m] + apery[1:])
-    if not any(S.contains(a - m) for a in apery[1:]):
+    table = S._apery_mult  # a negative a - m is below every entry, so not in S
+    if not any(a - m >= table[(a - m) % len(table)] for a in apery[1:]):
         return S
     # a rejection means some inequality fails, so the scan finds one
     _, (i, j) = _facet_scan(full, 1)
@@ -345,28 +346,29 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
 
 
 def _facet_scan(entries, wrap: int):
-    """Tight facets (i, j) of the point ``entries`` over Z_n, and the
+    """Tight facets of the point ``entries`` over Z_n as bit rows, and the
     first violated facet or None.
 
     Facet (i, j), 1 <= i <= j < n, is x_i + x_j >= x_{i+j} if i + j < n
     and x_i + x_j + wrap >= x_{i+j-n} if i + j > n (wrap 0: the group
-    cone; wrap 1: the Kunz polyhedron).  For each i, targets below n come
-    first; the scan stops at the first violated facet.
+    cone; wrap 1: the Kunz polyhedron).  Row up[a] has bit t when the
+    facet (a, t - a) is tight; row 0 stays empty.  For each i, targets
+    below n come first; the scan stops at the first violated facet.
     """
     n = len(entries)
-    tight = []
+    # facet (i, j) bounds ext[i + j]: x_{i+j} below n, x_{i+j-n} - wrap above,
+    # and at n a value below every x_i + x_j, so that no facet is read there
+    ext = [*entries, 2 * min(entries) - 1, *(x - wrap for x in entries[1:])]
+    up = [0] * n
     for i in range(1, n):
-        xi = entries[i]
-        for j in range(i, n - i):
-            slack = xi + entries[j] - entries[i + j]
+        xi, row = entries[i], up[i]
+        for j in range(i, n):
+            slack = xi + entries[j] - ext[i + j]
             if slack <= 0:
                 if slack < 0:
-                    return tight, (i, j)
-                tight.append((i, j))
-        for j in range(max(i, n - i + 1), n):
-            slack = xi + entries[j] + wrap - entries[i + j - n]
-            if slack <= 0:
-                if slack < 0:
-                    return tight, (i, j)
-                tight.append((i, j))
-    return tight, None
+                    return up, (i, j)
+                bit = 1 << (i + j) % n
+                row |= bit
+                up[j] |= bit
+        up[i] = row
+    return up, None

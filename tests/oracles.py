@@ -283,3 +283,71 @@ def squeeze_rejects(n, tight):
         for j in range(i, n)
         if (i + j) % n
     )
+
+
+def walk_reference(up):
+    """The relation walk with which KunzPoset validated its rows before the
+    walk also yielded the covers, kept unchanged as a reference for the
+    accept-or-raise outcome: every strict relation i -> j of the reflexive
+    rows ``up`` (row 0 made the bottom's, in place) is checked in
+    ascending i, then j, for antisymmetry and transitivity, then for
+    difference closure, and the first failure raises ValueError.  Returns
+    the down-set rows it fills."""
+    size = len(up)
+    up[0] = (1 << size) - 1
+    down = [1 << i for i in range(size)]
+    for i, row in enumerate(up):
+        bit = 1 << i
+        outside = ~row | bit
+        rest = row ^ bit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            down[j] |= bit
+            if up[j] & outside:
+                if up[j] & bit:
+                    raise ValueError(f"antisymmetry fails between classes {i} and {j}")
+                raise ValueError(f"relation is not transitive at class {i}")
+            if not up[j - i] & low:  # j - i wraps mod size as a negative index
+                raise ValueError(
+                    f"difference closure fails: {i} precedes "
+                    f"{j} but their difference class does not"
+                )
+    return down
+
+
+def brute_covers(relations, ground):
+    """Transitive reduction of the strict pairs ``relations``: (a, b) with
+    no c strictly between them, by a scan over every c."""
+    rel = set(relations)
+    return sorted(
+        (a, b) for a, b in rel if not any((a, c) in rel and (c, b) in rel for c in ground)
+    )
+
+
+def longest_chain_heights(relations, ground):
+    """Length of the longest chain from a minimal element up to each class,
+    by repeated relaxation over all strict pairs until nothing changes."""
+    h = dict.fromkeys(ground, 0)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in relations:
+            if h[b] < h[a] + 1:
+                h[b] = h[a] + 1
+                changed = True
+    return h
+
+
+def tight_pairs(entries, wrap):
+    """Ordered pairs (i, j) whose facet holds with equality at the point
+    ``entries`` over Z_n: x_i + x_j = x_{i+j}, with ``wrap`` added on the
+    left when i + j > n; pairs with i + j = n index no facet."""
+    n = len(entries)
+    return {
+        (i, j)
+        for i in range(1, n)
+        for j in range(1, n)
+        if i + j != n and entries[i] + entries[j] + (wrap if i + j > n else 0) == entries[(i + j) % n]
+    }

@@ -25,8 +25,10 @@ from kunzcone import (
     integer_rank,
     kunz_poset_of,
 )
+from kunzcone.poset import _apery_order
 from kunzcone.sweeps import iter_ega_params, random_semigroup_with_multiplicity
-from oracles import random_gens, squeeze_rejects
+from oracles import random_gens, squeeze_rejects, tight_pairs
+from test_poset import _check_covers_and_heights
 
 
 class TestFaceLocation:
@@ -280,6 +282,76 @@ def _pinned_point(rng, n, d):
         for _ in range(2)
     )
     return CoordTuple(n, APERY, tuple(a[i % d] + b[i % d] for i in range(n)))
+
+
+def _random_points():
+    """The random cone points above: semigroup tuples of both kinds at an
+    m in S below twice the multiplicity, then pinned points."""
+    rng = random.Random(71)
+    done = 0
+    while done < 60:
+        gens = random_gens(rng, 3, 14)
+        if gens is None:
+            continue
+        done += 1
+        S = NumericalSemigroup(gens)
+        m = rng.choice([g for g in range(S.multiplicity, 2 * S.multiplicity) if S.contains(g)])
+        for kind in (APERY, KUNZ):
+            yield S.coordinates(m, kind)
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(4, 14)
+        divisors = [d for d in range(2, n) if n % d == 0]
+        if divisors:
+            yield _pinned_point(rng, n, rng.choice(divisors))
+
+
+def _symmetric(pairs):
+    return frozenset(p for i, j in pairs for p in ((i, j), (j, i)))
+
+
+class TestFaceRows:
+    """A face is held as its Z_n bit rows: ``tight`` is read back from
+    them, and equality and hashing compare the rows."""
+
+    @staticmethod
+    def _tight_is(F, expected):
+        assert type(F.tight) is frozenset
+        assert F.tight == _symmetric(F.canonical_tight()) == expected
+        rebuilt = ConeFace(F.modulus, F.tight)
+        assert rebuilt == F and hash(rebuilt) == hash(F)
+
+    def test_located_faces(self):
+        for x in _random_points():
+            self._tight_is(face_of(x), tight_pairs(x.entries, 0 if x.kind == APERY else 1))
+
+    def test_pair_constructor(self):
+        rng = random.Random(151)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            facets = [(i, j) for i in range(1, n) for j in range(1, n) if (i + j) % n]
+            pairs = [
+                (i + n * rng.randint(-1, 1), j)
+                for i, j in rng.sample(facets, rng.randint(0, len(facets)))
+            ]
+            self._tight_is(ConeFace(n, pairs), _symmetric((i % n, j) for i, j in pairs))
+
+    def test_automorphism_images(self):
+        for x in _random_points():
+            F, n = face_of(x), x.modulus
+            for u in range(2, n):
+                if gcd(u, n) == 1:
+                    moved = ((u * i % n, u * j % n) for i, j in F.canonical_tight())
+                    self._tight_is(apply_automorphism(F, u), _symmetric(moved))
+
+    def test_apery_order_is_the_face_rows(self):
+        for x in _random_points():
+            if x.kind == APERY:
+                assert _apery_order(x.entries) == face_of(x)._up
+
+    def test_face_posets_covers_and_heights(self):
+        graded = [_check_covers_and_heights(face_of(x).kunz_poset) for x in _random_points()]
+        assert 0 < sum(graded) < len(graded)
 
 
 def _matches_full_echelon(n, tight, facet_row=None):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,16 +8,22 @@ from kunzcone import (
     NotGraded,
     NumericalSemigroup,
     apery_poset,
+    from_kunz_tuple,
     kunz_poset_of,
     subgroup_of,
 )
 from kunzcone.cli import main
+from kunzcone.sweeps import random_semigroup_with_multiplicity
 from oracles import (
+    brute_covers,
     dp_poset_relations,
     is_kunz_order,
     kunz_relation,
+    kunz_violation,
+    longest_chain_heights,
     random_gens,
     transitive_closure_of_covers,
+    walk_reference,
 )
 
 
@@ -268,3 +275,116 @@ class TestExport:
         a = apery_poset(NumericalSemigroup([4, 13, 18]), 4).to_dot()
         b = apery_poset(NumericalSemigroup([18, 13, 4, 31]), 4).to_dot()
         assert a == b
+
+
+def _walk_outcome(rows):
+    """The library's and the reference walk's outcome on the same rows:
+    the relations on acceptance, else the ValueError text."""
+    try:
+        P = KunzPoset._from_rows(len(rows), rows)
+        ours = P.relations()
+        assert P.covers() == brute_covers(ours, P.ground), rows
+    except ValueError as exc:
+        ours = str(exc)
+    up = [r | 1 << i for i, r in enumerate(rows)]
+    try:
+        walk_reference(up)
+        ref = sorted((i, j) for i, r in enumerate(up) for j in range(len(up)) if i != j and r >> j & 1)
+    except ValueError as exc:
+        ref = str(exc)
+    return ours, ref
+
+
+class TestValidationWalk:
+    """The walk that yields the covers accepts exactly the rows the plain
+    relation walk accepts, and names the same first failure otherwise."""
+
+    def test_every_reflexive_row_set_up_to_size_5(self):
+        seen = {"ok": 0, "antisymmetry": 0, "transitive": 0, "difference": 0}
+        for size in range(2, 6):
+            choices = [[r for r in range(1 << size) if r >> i & 1] for i in range(1, size)]
+            for rest in itertools.product(*choices):
+                ours, ref = _walk_outcome([1, *rest])
+                assert ours == ref, (size, rest)
+                key = next((k for k in seen if isinstance(ours, str) and k in ours), "ok")
+                seen[key] += 1
+        assert sum(seen.values()) == 2 + 16 + 512 + 65536
+        assert min(seen.values()) > 40, seen
+
+    def test_random_row_sets_of_size_6_to_9(self):
+        # random rows mostly fail; Kunz orders of semigroups with one or two
+        # bits flipped fail near the end of a walk or pass
+        rng = random.Random(83)
+        seen = {"ok": 0, "antisymmetry": 0, "transitive": 0, "difference": 0}
+        for k in range(20000):
+            size = rng.randint(6, 9)
+            if k % 2:
+                rows = [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(size)]
+            else:
+                S = random_semigroup_with_multiplicity(rng, size)
+                rows = list(kunz_poset_of(S, size)._up)
+                for _ in range(k % 3):
+                    i, j = rng.randrange(1, size), rng.randrange(size)
+                    rows[i] ^= (i != j) << j
+            ours, ref = _walk_outcome(rows)
+            assert ours == ref, (size, rows)
+            key = next((k for k in seen if isinstance(ours, str) and k in ours), "ok")
+            seen[key] += 1
+        assert min(seen.values()) > 500, seen
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # transitivity fails at 2 (4 above 2, not above 1), difference closure at 5
+            ({1: 0b100110, 2: 0b10100}, "relation is not transitive at class 1"),
+            # difference closure fails at 3 (2 is not below 3), transitivity at 5
+            ({1: 0b101010, 5: 0b1100000}, "difference closure fails: 1 precedes 3 but "
+                                          "their difference class does not"),
+            # transitivity fails at 2, antisymmetry at 3
+            ({1: 0b1110, 2: 0b10100, 3: 0b1010}, "relation is not transitive at class 1"),
+            # antisymmetry fails at 2, transitivity at 3
+            ({1: 0b1110, 2: 0b0110, 3: 0b101000}, "antisymmetry fails between classes 1 and 2"),
+        ],
+    )
+    def test_first_of_two_failures_in_one_row(self, rows, message):
+        full = [rows.get(i, 0) | 1 << i for i in range(7)]
+        ours, ref = _walk_outcome(full)
+        assert ours == ref == message
+
+
+def _check_covers_and_heights(P):
+    relations = P.relations()
+    covers = brute_covers(relations, P.ground)
+    assert P.covers() == covers
+    assert P.atoms() == [b for a, b in covers if a == 0]
+    h = longest_chain_heights(relations, P.ground)
+    graded = all(h[b] == h[a] + 1 for a, b in covers)
+    assert P.is_graded() == graded
+    if graded:
+        assert P.heights() == h
+    else:
+        with pytest.raises(NotGraded):
+            P.heights()
+    return graded
+
+
+class TestCoversAndHeights:
+    def test_semigroup_posets_up_to_multiplicity_10(self):
+        # every semigroup of multiplicity m <= 10 with Kunz coordinates at most 3
+        posets = set()
+        for m in range(2, 11):
+            for z in itertools.product(range(1, 4), repeat=m - 1):
+                if kunz_violation(m, z) is None:
+                    posets.add(kunz_poset_of(from_kunz_tuple(m, z), m))
+        graded = [_check_covers_and_heights(P) for P in posets]
+        assert len(posets) > 1000 and 0 < sum(graded) < len(graded), (len(posets), sum(graded))
+
+    def test_readme_poset_dot(self):
+        P = apery_poset(NumericalSemigroup([4, 13, 18]), 4)
+        assert P.to_dot() == (
+            'digraph kunz_poset {\n  rankdir=BT;\n  node [shape=box];\n'
+            '  n0 [label="0\\n0"];\n  n1 [label="1\\n13"];\n'
+            '  n2 [label="2\\n18"];\n  n3 [label="3\\n31"];\n'
+            '  n0 -> n1;\n  n0 -> n2;\n  n1 -> n3;\n  n2 -> n3;\n'
+            '  { rank=same; n0; }\n  { rank=same; n1; n2; }\n  { rank=same; n3; }\n}\n'
+        )
