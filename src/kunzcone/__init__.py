@@ -22,7 +22,7 @@ from .arithmetic import (
     ega_new,
     ega_rays,
 )
-from .cone import CONE, POLYHEDRON, ConeFace, apply_automorphism, face_of
+from .cone import ConeFace, apply_automorphism, face_of
 from .errors import (
     AlphaIsGenerator,
     AlphaNotInS,

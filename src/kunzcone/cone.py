@@ -22,9 +22,8 @@ to zero iff c_h is in R.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import or_
 
 from .errors import InconsistentFace, NotAUnit, NotInCone
@@ -32,25 +31,23 @@ from .linalg import IntegerEchelon
 from .poset import KunzPoset, _bits
 from .semigroup import APERY, CoordTuple, _facet_scan
 
-CONE = "cone"
-POLYHEDRON = "polyhedron"
-
 
 class ConeFace:
     """A face of the group cone C(Z_n), given by its tight facet set.
 
     The set lives only in the bit rows (see the module): ``tight`` is built
     from them on first read, and equality and hashing compare the rows.
-    Faces produced by face_of are genuine and skip consistency checks;
-    hand-built tight sets are vetted by a span test and a transitivity walk
-    over Z_n bit rows (not exhaustive, but enough to catch equality systems
-    that force some recorded-strict facet) before subgroup or poset extraction.
+    Only ``_from_rows`` takes trusted rows (face_of's, and their images under
+    apply_automorphism); tight pairs given here are vetted by a span test
+    and a transitivity walk over Z_n bit rows (not exhaustive, but enough to
+    catch equality systems that force some recorded-strict facet) before
+    subgroup or poset extraction.
 
     Dimension, subgroup and the span test come from one ``_FaceSpan``,
     built on first use; the dimension is n-1 minus its rank.
     """
 
-    def __init__(self, modulus: int, tight, trusted: bool = False):
+    def __init__(self, modulus: int, tight):
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         n = modulus
@@ -63,14 +60,14 @@ class ConeFace:
                 raise ValueError(f"({i},{j}) does not index a facet of C(Z_{n})")
             up[i] |= 1 << t
             up[j] |= 1 << t
-        self.modulus, self._up, self._trusted = n, up, trusted
+        self.modulus, self._up, self._trusted = n, up, False
         self._tight = self._echelon = self._subgroup = self._poset = None
 
     @classmethod
-    def _from_rows(cls, modulus: int, up: list[int], trusted: bool = False) -> "ConeFace":
+    def _from_rows(cls, modulus: int, up: list[int], trusted: bool) -> "ConeFace":
         """As ``__init__`` from the rows up[a] themselves, unchecked."""
-        self = cls(modulus, (), trusted)
-        self._up = up
+        self = cls(modulus, ())
+        self._up, self._trusted = up, trusted
         return self
 
     @property
@@ -138,8 +135,8 @@ class ConeFace:
         if self._subgroup is None:
             if not self._trusted:
                 self._check_consistency()
-            pinned = self._tight_echelon().unit_columns()
-            self._subgroup = (0, *(col + 1 for col in pinned))
+            y = self._tight_echelon()._kernel_values  # e_h in the span iff y_h = 0
+            self._subgroup = (0, *(h for h in range(1, self.modulus) if not y[h]))
         return self._subgroup
 
     @property
@@ -205,65 +202,43 @@ class _FaceSpan:
         self.rank = len(self._pinned) + rel.rank
         self._kernel_values = self._values()[0]  # y for the final R
 
-    def _values(self, slack: int = 3) -> tuple[list[int], int]:
-        """y_h = c_h . K (K a kernel basis of R; y = c while R = 0) packed in
+    def _values(self) -> tuple[list[int], int]:
+        """y_h = c_h . K (K = kernel() of R; y = c while R = 0) packed in
         signed fields, and their width: c entries in Kahn layer l sum to at
         most 2**l, so for |K| <= top a sum of y with |coefficients| adding to
-        at most ``slack`` is 0 only if each field is.  y_t = y_a + y_w."""
-        rows = self._relations._rows  # reduced: pivot -> (d, tail on non-pivots)
-        scale = lcm(*(d for d, _ in rows.values()))
-        top = max([scale] + [scale // d * abs(v) for d, tl in rows.values() for v in tl.values()])
-        field = self._depth + top.bit_length() + slack.bit_length() + 1
-        shift = {j: i * field for i, j in enumerate(
-            j for j in range(self._relations.width) if j not in rows)}
+        at most 3 (a facet row or a unit vector) is 0 only if each field is.  y_t = y_a + y_w."""
+        kernel = self._relations.kernel()  # per free column f: {j: K[f][j]}
+        top = max((abs(v) for k in kernel for v in k.values()), default=1)
+        field = self._depth + top.bit_length() + 3  # 2 bits for the sum of 3, 1 for the sign
+        shift = {j: i * field for i, j in enumerate(f for f, k in enumerate(kernel) if f in k)}
         y = [0] * (n := len(self._first))
-        for f, t in enumerate(self._free):  # a non-pivot f holds scale in its own field
-            d, tail = rows.get(f, (1, {f: -1}))
-            y[t] = sum(-(scale // d) * v << shift[j] for j, v in tail.items())
+        for f, t in enumerate(self._free):
+            y[t] = sum(v << shift[j] for j, v in kernel[f].items())
         for t in self._pinned:
             y[t] = y[self._first[t]] + y[(t - self._first[t]) % n]
         return y, field
 
-    def contains(self, row) -> bool:
-        """Whether a dense or sparse row over x_1..x_{n-1} is in the span:
-        phi(row) is in R exactly when phi(row) . K = sum row_c y_{c+1} is 0."""
-        n, sparse = len(self._first), isinstance(row, Mapping)
-        if not all(0 <= col < n - 1 for col in row) if sparse else len(row) != n - 1:
-            raise ValueError(f"row does not fit width {n - 1}")
-        items = [(col, v) for col, v in (row.items() if sparse else enumerate(row)) if v]
-        slack = sum(abs(v) for _, v in items)
-        y = self._kernel_values if slack <= 3 else self._values(slack)[0]
-        return not sum(v * y[col + 1] for col, v in items)
 
-    def unit_columns(self) -> list[int]:
-        """Columns h-1 with e_h in the span, ascending: c_h . K = 0."""
-        return [h - 1 for h in range(1, len(self._first)) if not self._kernel_values[h]]
-
-
-def face_of(x: CoordTuple, kind: str | None = None) -> ConeFace:
+def face_of(x: CoordTuple) -> ConeFace:
     """Locate the face of C(Z_n) or of the Kunz polyhedron containing x.
 
-    kind "cone" scans x_i + x_j >= x_{i+j}; kind "polyhedron" scans the
-    translated system z_i + z_j >= z_{i+j} (i+j < n) and
-    z_i + z_j + 1 >= z_{i+j-n} (i+j > n), both in ``_facet_scan``, whose
-    first violated facet NotInCone names.  Defaults to the family that
-    matches the tuple's own kind; a semigroup's Apery and Kunz tuples then
-    land on faces with identical tight sets.
+    The tuple's kind picks the family.  An Apery tuple is a point of the
+    cone, scanned against x_i + x_j >= x_{i+j}; a Kunz tuple is a point of
+    the polyhedron, scanned against z_i + z_j >= z_{i+j} (i+j < n) and
+    z_i + z_j + 1 >= z_{i+j-n} (i+j > n).  Both scans are ``_facet_scan``,
+    whose first violated facet NotInCone names.  A semigroup's Apery and
+    Kunz tuples land on faces with identical tight sets.
     """
-    if kind is None:
-        kind = CONE if x.kind == APERY else POLYHEDRON
-    if kind not in (CONE, POLYHEDRON):
-        raise ValueError(f"kind must be {CONE!r} or {POLYHEDRON!r}")
-    n = x.modulus
+    n, cone = x.modulus, x.kind == APERY
     # the two families differ only by the +1 on facets with i + j > n
-    up, bad = _facet_scan(x.entries, 0 if kind == CONE else 1)
+    up, bad = _facet_scan(x.entries, 0 if cone else 1)
     if bad is not None:
         i, j = bad
-        v, plus = ("x", "") if kind == CONE else ("z", " + 1" if i + j > n else "")
+        v, plus = ("x", "") if cone else ("z", " + 1" if i + j > n else "")
         raise NotInCone(
             f"violated: {v}_{i} + {v}_{j}{plus} >= {v}_{(i + j) % n} at indices ({i},{j})"
         )
-    return ConeFace._from_rows(n, up, trusted=True)
+    return ConeFace._from_rows(n, up, True)
 
 
 def apply_automorphism(obj, u: int):
@@ -271,7 +246,8 @@ def apply_automorphism(obj, u: int):
 
     Accepts coordinate tuples, cone faces, and Kunz posets, returning the
     same type.  Multiplication by a unit permutes the facet family, so
-    the image of a face is a face and dimensions are preserved.
+    the image of a face (bit t of up[a] moved to bit u*t of up[u*a]) is a
+    face, as trusted as the original, and dimensions are preserved.
     """
     if isinstance(obj, CoordTuple):
         n = obj.modulus
@@ -283,8 +259,10 @@ def apply_automorphism(obj, u: int):
     if isinstance(obj, ConeFace):
         n = obj.modulus
         _require_unit(u, n)
-        moved = [(u * i % n, u * j % n) for i, j in obj.tight]
-        return ConeFace(n, moved, trusted=obj._trusted)
+        up = [0] * n
+        for a in range(1, n):  # a -> u*a and t -> u*t are bijections: no bit lands twice
+            up[u * a % n] = sum(1 << u * t % n for t in _bits(obj._up[a]))
+        return ConeFace._from_rows(n, up, obj._trusted)
     if isinstance(obj, KunzPoset):
         n = obj.modulus
         _require_unit(u, n)

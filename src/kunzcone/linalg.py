@@ -5,8 +5,8 @@ p owns one row d*x_p + sum(c_j * x_j) whose other entries sit only in
 non-pivot columns, with d > 0 and the gcd of d and the c_j equal to 1.
 Rows are stored as {column: coefficient} dicts, so a query touches only
 its own nonzero entries and the non-pivot part of the rows they hit.
-Every step is fraction-free integer arithmetic, so rank and
-rowspace-membership answers are exact.
+Every step is fraction-free integer arithmetic, so the rank and the
+kernel basis are exact.
 """
 
 from __future__ import annotations
@@ -103,17 +103,18 @@ class IntegerEchelon:
         rows[q] = (d, tail)
         return True
 
-    def contains(self, row) -> bool:
-        """Whether ``row`` lies in the rational span of the inserted rows."""
-        return not self._reduce(row)
-
-    def unit_columns(self) -> list[int]:
-        """Columns c whose unit vector e_c lies in the span, ascending.
-
-        In reduced form that is exactly the pivots whose row has no other
-        entry: any vector of the span is fixed by its pivot entries.
+    def kernel(self) -> list[dict[int, int]]:
+        """An integer basis K of the null space, one vector per non-pivot
+        column j, given per column c as {j: K[c][j]}.  With s the lcm of the
+        pivot entries, a non-pivot c holds s at c and a pivot c holds
+        -(s/d) * tail: its row d*x_c + tail . x then vanishes on each vector.
         """
-        return sorted(col for col, (_, tail) in self._rows.items() if not tail)
+        rows = self._rows
+        s = lcm(*(d for d, _ in rows.values()))
+        return [
+            {j: -(s // rows[c][0]) * v for j, v in rows[c][1].items()} if c in rows else {c: s}
+            for c in range(self.width)
+        ]
 
 
 def _normalized(d: int, tail: dict[int, int]) -> tuple[int, dict[int, int]]:

@@ -2,11 +2,14 @@
 
 Everything here works by dynamic programming over an explicit membership
 table, deliberately avoiding the package's Apery kernel (its bitset closure
-and round robin), so agreement between the two is meaningful.
+and round robin), so agreement between the two is meaningful.  The linear
+algebra references (``squeeze_rejects``, ``ReferenceEchelon``) import nothing
+from the package either.
 """
 
+from collections.abc import Mapping
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 
 def random_gens(rng, m_lo, m_hi, spread=3, extra_hi=4):
@@ -351,3 +354,96 @@ def tight_pairs(entries, wrap):
         for j in range(1, n)
         if i + j != n and entries[i] + entries[j] + (wrap if i + j > n else 0) == entries[(i + j) % n]
     }
+
+
+class ReferenceEchelon:
+    """Incremental reduced echelon basis of an integer row space, with the
+    queries the face span answers by substitution: rank, span membership
+    and the unit vectors in the span.
+
+    A pivot column maps to ``(d, tail)``: the row d*x_p + tail . x with
+    d > 0, the gcd of d and the tail entries 1, and the tail only on
+    non-pivot columns.  Rows are accepted dense (a sequence of ``width``
+    integers) or sparse (a mapping column -> coefficient).
+    """
+
+    def __init__(self, width):
+        if width < 1:
+            raise ValueError("width must be positive")
+        self.width = width
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _entries(self, row):
+        if isinstance(row, Mapping):
+            for col in row:
+                if not 0 <= col < self.width:
+                    raise ValueError(f"column {col} outside width {self.width}")
+            return {col: v for col, v in row.items() if v}
+        row = list(row)
+        if len(row) != self.width:
+            raise ValueError(f"expected width {self.width}, got {len(row)}")
+        return {col: v for col, v in enumerate(row) if v}
+
+    def _reduce(self, row):
+        """Residue of ``row`` on the non-pivot columns; empty iff in the span."""
+        rows, residue, hits = self.rows, {}, []
+        for col, v in self._entries(row).items():
+            if col in rows:
+                hits.append((col, v))
+            else:
+                residue[col] = v
+        scale = 1
+        for col, v in hits:
+            d = rows[col][0]
+            if v % d:
+                scale = lcm(scale, d // gcd(d, v))
+        residue = {col: scale * v for col, v in residue.items()}
+        for col, v in hits:
+            d, tail = rows[col]
+            k = scale * v // d
+            for j, w in tail.items():
+                residue[j] = residue.get(j, 0) - k * w
+        return {col: v for col, v in residue.items() if v}
+
+    def add(self, row):
+        """Insert a row; True if it enlarged the span."""
+        residue = self._reduce(row)
+        if not residue:
+            return False
+        q = min(residue, key=lambda col: (abs(residue[col]), col))
+        d, tail = _normalized_row(residue.pop(q), residue)
+        for p, (dp, tp) in list(self.rows.items()):
+            c = tp.get(q)
+            if c is None:
+                continue
+            g = gcd(d, c)
+            a, b = d // g, c // g
+            merged = {j: a * w for j, w in tp.items() if j != q}
+            for j, w in tail.items():
+                merged[j] = merged.get(j, 0) - b * w
+            self.rows[p] = _normalized_row(a * dp, {j: w for j, w in merged.items() if w})
+        self.rows[q] = (d, tail)
+        return True
+
+    def contains(self, row):
+        """Whether ``row`` lies in the rational span of the inserted rows."""
+        return not self._reduce(row)
+
+    def unit_columns(self):
+        """Columns c whose unit vector e_c lies in the span, ascending: the
+        pivots whose row has no other entry."""
+        return sorted(col for col, (_, tail) in self.rows.items() if not tail)
+
+
+def _normalized_row(d, tail):
+    """Scale (d, tail) so that d > 0 and the gcd of all entries is 1."""
+    g = d
+    for v in tail.values():
+        g = gcd(g, v)
+    if d < 0:
+        g = -g
+    return d // g, {col: v // g for col, v in tail.items()}
