@@ -22,7 +22,7 @@ from .arithmetic import (
 from .cone import face_of
 from .errors import DomainError
 from .gluing import EmbeddingSpec, GluingSpec, beta_ray, glue, glued_poset
-from .poset import apery_poset, kunz_poset_of
+from .poset import apery_poset
 from .semigroup import APERY, KUNZ, NumericalSemigroup
 from .sweeps import SUITES, run_suite, size_error
 
@@ -210,7 +210,7 @@ def _cmd_glue(args) -> str:
         raise _UsageError(f"glue needs --beta times the multiplicity <= {MAX_FACE_N}")
     spec = GluingSpec(S, args.alpha, args.beta)
     T = glue(spec)
-    dim_s = face_of(S.coordinates(m, APERY)).dimension
+    F = face_of(S.coordinates(m, APERY))
     dim_t = face_of(T.coordinates(n, APERY)).dimension
     return _dump({
         "base": list(S.generators),
@@ -218,8 +218,8 @@ def _cmd_glue(args) -> str:
         "beta": args.beta,
         "glued": list(T.generators),
         "augmented": args.alpha in set(S.apery_set(m)),
-        "face_dims": [dim_s, dim_t],
-        "base_poset": kunz_poset_of(S, m).to_json_dict(),
+        "face_dims": [F.dimension, dim_t],
+        "base_poset": F.kunz_poset.to_json_dict(),
         "glued_poset": glued_poset(spec).to_json_dict(),
     })
 

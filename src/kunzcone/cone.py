@@ -244,38 +244,31 @@ def face_of(x: CoordTuple) -> ConeFace:
 def apply_automorphism(obj, u: int):
     """Relabel coordinates by the unit u of Z_n: index i moves to u*i.
 
-    Accepts coordinate tuples, cone faces, and Kunz posets, returning the
-    same type.  Multiplication by a unit permutes the facet family, so
-    the image of a face (bit t of up[a] moved to bit u*t of up[u*a]) is a
-    face, as trusted as the original, and dimensions are preserved.
+    Accepts Apery-kind coordinate tuples, cone faces, and Kunz posets,
+    returning the same type.  Multiplication by a unit permutes the facet
+    family of the cone (not of the Kunz polyhedron, whose +1 depends on
+    whether i + j wraps), so the image of a face or poset is its rows
+    permuted (bit t of up[a] moved to bit u*t of up[u*a]): a face as
+    trusted as the original, of the same dimension.
     """
+    if not isinstance(obj, (CoordTuple, ConeFace, KunzPoset)):
+        raise TypeError(f"cannot apply automorphism to {type(obj).__name__}")
+    n = obj.modulus
+    if gcd(u % n, n) != 1:
+        raise NotAUnit(f"{u} is not a unit of Z_{n}")
     if isinstance(obj, CoordTuple):
-        n = obj.modulus
-        _require_unit(u, n)
+        if obj.kind != APERY:
+            raise ValueError("apply_automorphism expects homogeneous (apery-kind) coordinates")
         entries = [0] * n
         for i in range(n):
             entries[u * i % n] = obj.entries[i]
-        return CoordTuple(n, obj.kind, tuple(entries))
+        return CoordTuple(n, APERY, tuple(entries))
+    k = len(obj._up)  # a unit of Z_n is one of Z_k, k | n
+    up = [0] * k
+    for a, row in enumerate(obj._up):  # a -> u*a and t -> u*t are bijections
+        up[u * a % k] = sum(1 << u * t % k for t in _bits(row))
     if isinstance(obj, ConeFace):
-        n = obj.modulus
-        _require_unit(u, n)
-        up = [0] * n
-        for a in range(1, n):  # a -> u*a and t -> u*t are bijections: no bit lands twice
-            up[u * a % n] = sum(1 << u * t % n for t in _bits(obj._up[a]))
         return ConeFace._from_rows(n, up, obj._trusted)
-    if isinstance(obj, KunzPoset):
-        n = obj.modulus
-        _require_unit(u, n)
-        pairs = [(u * a % n, u * b % n) for a, b in obj.relations()]
-        # a unit maps the subgroup onto itself, so the image of the coset
-        # of g is the coset of u*g
-        labels = None if obj.labels is None else {
-            obj.index_of(u * g): v for g, v in zip(obj.ground, obj.labels)
-        }
-        return KunzPoset(n, pairs, subgroup=obj.subgroup, labels=labels)
-    raise TypeError(f"cannot apply automorphism to {type(obj).__name__}")
-
-
-def _require_unit(u: int, n: int):
-    if gcd(u % n, n) != 1:
-        raise NotAUnit(f"{u} is not a unit of Z_{n}")
+    # a unit maps the subgroup onto itself, so the coset of g goes to that of u*g
+    labels = None if obj.labels is None else {u * g % k: v for g, v in enumerate(obj.labels)}
+    return KunzPoset._from_rows(n, up, subgroup=obj.subgroup, labels=labels)

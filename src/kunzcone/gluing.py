@@ -3,8 +3,9 @@
 The gluing side works on semigroups; the embedding side works on cones
 over Z_n, mapping tuples over the subgroup H = <h_gen> into tuples over
 Z_n along a class rho that generates the quotient.  The two meet in
-extend_poset: the Kunz poset of a gluing is the (augmented or plain)
-extension of the base poset.
+one walk, ``_extension_rows``: the Kunz poset of a gluing is the
+(augmented or plain) extension of the base order, and glued_poset and
+extend_poset both build their bit rows through it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import (
     NotCoprime,
     SampleNotInterior,
 )
-from .poset import KunzPoset, _apery_order, subgroup_of
-from .semigroup import APERY, CoordTuple, NumericalSemigroup
+from .poset import KunzPoset, _bits, subgroup_of
+from .semigroup import APERY, CoordTuple, NumericalSemigroup, _facet_scan
 
 @dataclass(frozen=True)
 class GluingSpec:
@@ -92,11 +93,25 @@ def glued_apery(spec: GluingSpec) -> list[int]:
     return sorted(table.values())
 
 
-def _class_grid(parts, beta: int, step: int, n: int):
-    """For each a in ``parts``: the classes (beta*a + b*step) mod n for
-    0 <= b < beta, and for each b the mask of those with b' >= b."""
-    classes = [[(beta * a + b * step) % n for b in range(beta)] for a in parts]
-    return classes, [list(accumulate([1 << c for c in row[::-1]], or_))[::-1] for row in classes]
+def _extension_rows(up: list[int], beta: int, rho: int, n: int, wrap: int) -> list[int]:
+    """Bit rows over Z_n of the extension of the reflexive order ``up`` on
+    Z_k (k = len(up)) along rho: beta*a + b*rho precedes beta*a' + b'*rho
+    when a precedes a' and either b <= b' or ``wrap`` (the row of beta*rho's
+    class; 0 for the plain extension) holds a' - a.  Each relation a -> a'
+    ORs the mask of the classes beta*a' + b'*rho (b' >= b, or every b' on a
+    wrap) into the row of each beta*a + b*rho: O(beta * relations)."""
+    k = len(up)
+    classes = [[(beta * a + b * rho) % n for b in range(beta)] for a in range(k)]
+    suffix = [list(accumulate([1 << c for c in row[::-1]], or_))[::-1] for row in classes]
+    rows = [0] * n
+    for a1, row in enumerate(up):
+        for a2 in _bits(row):
+            masks = suffix[a2]
+            if wrap >> (a2 - a1) % k & 1:
+                masks = [masks[0]] * beta
+            for c, mask in zip(classes[a1], masks):
+                rows[c] |= mask
+    return rows
 
 
 def glued_poset(spec: GluingSpec) -> KunzPoset:
@@ -104,11 +119,10 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
 
     b*alpha + a*beta precedes b'*alpha + a'*beta iff a precedes a' in the
     base Apery order and either b <= b' or (when alpha is itself an Apery
-    element) alpha precedes a' - a.  Each base pair a, a' with a' - a in
-    Ap(S; m) ORs a precomputed mask of the classes b'*alpha + a'*beta
-    (b' >= b, or all b' on a wrap) into the up-set row of each class
-    b*alpha + a*beta: O(m^2 + beta * relations) for n bit rows.  The
-    labels must pass ``glued_apery``'s membership test, so they are T's
+    element) alpha precedes a' - a: the extension of that order along
+    alpha, as ``_extension_rows`` walks it, from the facet scan's rows of
+    Ap(S; m).  (S = <1> has no Kunz poset, so this is not extend_poset.)
+    The labels must pass ``glued_apery``'s membership test, so they are T's
     Apery values, and the rows' strict part must equal the order one facet
     scan reads off them (kunz_poset_of's oracle, with no Apery closure).
     """
@@ -116,25 +130,15 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     m = S.multiplicity
     n = beta * m
     ap = S._apery_values(m)
-    alpha_in_ap = alpha in ap
+    up = [row | 1 << c for c, row in enumerate(_facet_scan(ap, 0)[0])]
+    up[0] = (1 << m) - 1
+    rows = _extension_rows(up, beta, alpha, n, up[alpha % m] if alpha in ap else 0)
     table = _glued_values(spec)
-    classes, suffix = _class_grid(ap, beta, alpha, n)
-    rows = [0] * n
-    for c1, a1 in enumerate(ap):
-        for c2, a2 in enumerate(ap):
-            diff = a2 - a1
-            if diff < 0 or ap[diff % m] != diff:
-                continue
-            masks = suffix[c2]
-            if alpha_in_ap and S.contains(diff - alpha):
-                masks = [masks[0]] * beta
-            for c, mask in zip(classes[c1], masks):
-                rows[c] |= mask
     if not _is_apery_table(glue(spec), n, table):
         raise CheckFailed(f"closed-form Apery labels of {spec} disagree with the oracle")
     strict = [row & ~(1 << c) for c, row in enumerate(rows)]
     strict[0] = 0
-    if strict != _apery_order([table[c] for c in range(n)]):
+    if strict != _facet_scan([table[c] for c in range(n)], 0)[0]:
         raise CheckFailed(f"closed-form poset of {spec} disagrees with the oracle")
     return KunzPoset._from_rows(n, rows, labels=table)
 
@@ -225,32 +229,23 @@ def extend_poset(P: KunzPoset, spec: EmbeddingSpec, augmented: bool) -> KunzPose
     bottom of P the augmented order collapses along rho: the result then
     lives on Z_n/(H' + <rho>) and is a relabelled copy of P.
 
-    Otherwise beta*a + b*rho (a in P's ground, 0 <= b < beta) meets every
-    class of Z_n / beta*H' once, and one walk over the relation of P,
-    reflexive pairs included, ORs for each a -> a' a precomputed mask of
-    the classes beta*a' + b'*rho (b' >= b, or all b' on a wrap) into the
-    bit row of each beta*a + b*rho: O(beta * relations) for n rows.
+    beta*a + b*rho (a in P's ground, 0 <= b < beta) meets every class of
+    Z_n / beta*H' once, and the rows come from one ``_extension_rows``
+    walk over P's rows in all three cases; a collapsed order's rows fold
+    onto Z_n/(H' + <rho>).
     """
     if P.modulus != spec.sub_modulus:
         raise InvalidQuotient(
             f"poset modulus {P.modulus} does not match the subgroup copy "
             f"Z_{spec.sub_modulus}"
         )
-    n, beta, rho = spec.n, spec.beta, spec.rho
-    if augmented and P.index_of(spec.brho_sub) == 0:
-        sub = subgroup_of(n, [beta * h % n for h in P.subgroup] + [rho])
-        pairs = [(beta * a % n, beta * b % n) for a, b in P.relations()]
-        return KunzPoset(n, pairs, subgroup=sub)
-    sub = tuple(beta * h % n for h in P.subgroup)
-    classes, suffix = _class_grid(P.ground, beta, rho, n)
-    rows = [0] * n
-    for a1, a2 in [(a, a) for a in P.ground] + P.relations():
-        masks = suffix[a2]
-        if augmented and P.leq(spec.brho_sub, a2 - a1):
-            masks = [masks[0]] * beta
-        for c, mask in zip(classes[a1], masks):
-            rows[c] |= mask
-    return KunzPoset._from_rows(n, rows, subgroup=sub)
+    n, beta = spec.n, spec.beta
+    wrap = P._up[P.index_of(spec.brho_sub)] if augmented else 0
+    rows = _extension_rows(P._up, beta, spec.rho, n, wrap)
+    sub = [beta * h % n for h in P.subgroup]
+    if wrap & 1:  # beta*rho is the bottom of P: the order collapses along rho
+        sub.append(spec.rho)
+    return KunzPoset._from_rows(n, rows, subgroup=subgroup_of(n, sub))
 
 
 def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:

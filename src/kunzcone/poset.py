@@ -235,25 +235,17 @@ class KunzPoset:
         return "\n".join(lines) + "\n"
 
 
-def _apery_order(values) -> list[int]:
-    """The strict up-set bit row of each class in the divisibility order
-    of the Apery values ``values`` (row 0, the bottom's, left empty).
-
-    i precedes j exactly when a_j - a_i is itself an Apery element, which
-    for elements of one class pins it to the class minimum a_{j-i}: the
-    tight facet a_i + a_k = a_{i+k} puts i and k below i+k, so these are
-    the facet scan's rows.  (The tuple lies in the cone, so the scan meets
-    no violated facet.)
-    """
-    return _facet_scan(values, 0)[0]
-
-
 def apery_poset(S: NumericalSemigroup, m: int) -> KunzPoset:
-    """Divisibility order on Ap(S; m), labelled by the Apery values."""
+    """Divisibility order on Ap(S; m), labelled by the Apery values.
+
+    i precedes j iff a_j - a_i is an Apery element, hence the class minimum
+    a_{j-i}: iff the facet a_i + a_{j-i} >= a_j is tight, so the rows are
+    the facet scan's (which meets no violated facet on a cone point).
+    """
     values = S.coordinates(m, APERY).entries
-    return KunzPoset._from_rows(m, _apery_order(values), labels=values)
+    return KunzPoset._from_rows(m, _facet_scan(values, 0)[0], labels=values)
 
 
 def kunz_poset_of(S: NumericalSemigroup, m: int) -> KunzPoset:
     """Same order as apery_poset, with ground elements as plain classes."""
-    return KunzPoset._from_rows(m, _apery_order(S.coordinates(m, APERY).entries))
+    return KunzPoset._from_rows(m, _facet_scan(S.coordinates(m, APERY).entries, 0)[0])

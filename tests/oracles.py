@@ -241,6 +241,52 @@ def extend_relation(P, n, beta, rho, augmented):
     return kernel, {(cls(a), cls(b)) for a, b in rel}
 
 
+def glued_grid_relation(ap, alpha, beta):
+    """The order of the gluing <alpha> + beta*S on Z_{beta*m}, by the grid
+    loop glued_poset ran before its rows came from one extension walk, kept
+    as a reference.  ``ap`` lists Ap(S; m) by class; a value x is in S iff
+    x >= ap[x % m].  Over all m^2 pairs of Apery values a, a' with a' - a
+    in Ap(S; m), b*alpha + a*beta precedes b'*alpha + a'*beta when b <= b',
+    or for every b' when alpha is an Apery element below a' - a.  Returns
+    the reflexive relation as a set of class pairs."""
+    m = len(ap)
+    n = beta * m
+    rel = set()
+    for a1 in ap:
+        for a2 in ap:
+            diff = a2 - a1
+            if diff < 0 or ap[diff % m] != diff:
+                continue
+            wrap = alpha in ap and diff - alpha >= ap[(diff - alpha) % m]
+            for b1 in range(beta):
+                for b2 in range(beta):
+                    if b1 <= b2 or wrap:
+                        rel.add(((b1 * alpha + a1 * beta) % n, (b2 * alpha + a2 * beta) % n))
+    return rel
+
+
+def collapsed_pairs_relation(n, beta, rho, subgroup, relations):
+    """The pair route extend_poset took when the augmented order collapses
+    along rho (beta*rho in the base subgroup), kept as a reference: the
+    strict pairs (a, b) of the base order on Z_{n/beta}, given with its
+    ``subgroup``, map to (beta*a, beta*b) on Z_n modulo the subgroup
+    generated by beta*subgroup and rho.  Returns (that subgroup, the
+    reflexive relation on its coset minima, the bottom's pairs included)."""
+    g = gcd(n, rho, *(beta * h for h in subgroup))
+    rel = {(c, c) for c in range(g)} | {(0, c) for c in range(g)}
+    rel |= {(beta * a % g, beta * b % g) for a, b in relations}
+    return tuple(range(0, n, g)), rel
+
+
+def moved_pairs_relation(n, g, relations, u):
+    """The pair route apply_automorphism took for a poset on Z_n / gZ_n
+    before it permuted rows, kept as a reference: each strict pair (a, b)
+    moves to (u*a, u*b), reduced to coset minima mod g.  Returns the
+    reflexive relation, the bottom's pairs included."""
+    rel = {(c, c) for c in range(g)} | {(0, c) for c in range(g)}
+    return rel | {(u * a % n % g, u * b % n % g) for a, b in relations}
+
+
 def squeeze_rejects(n, tight):
     """Whether a hand-built tight set over Z_n fails the span-and-squeeze rule.
 

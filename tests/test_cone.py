@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -12,6 +13,7 @@ from kunzcone import (
     CoordTuple,
     InconsistentFace,
     IntegerEchelon,
+    KunzPoset,
     NotAUnit,
     NotInCone,
     NumericalSemigroup,
@@ -23,9 +25,14 @@ from kunzcone import (
     integer_rank,
     kunz_poset_of,
 )
-from kunzcone.poset import _apery_order
 from kunzcone.sweeps import iter_ega_params, random_semigroup_with_multiplicity
-from oracles import ReferenceEchelon, random_gens, squeeze_rejects, tight_pairs
+from oracles import (
+    ReferenceEchelon,
+    moved_pairs_relation,
+    random_gens,
+    squeeze_rejects,
+    tight_pairs,
+)
 from test_poset import _check_covers_and_heights
 
 
@@ -341,10 +348,17 @@ class TestFaceRows:
                     moved = ((u * i % n, u * j % n) for i, j in F.canonical_tight())
                     self._tight_is(apply_automorphism(F, u), _symmetric(moved))
 
-    def test_apery_order_is_the_face_rows(self):
-        for x in _random_points():
+    def test_kunz_poset_of_is_the_face_rows(self):
+        # the first 120 points are semigroup tuples; Ap(S; m) and m generate S
+        for x in itertools.islice(_random_points(), 120):
             if x.kind == APERY:
-                assert _apery_order(x.entries) == face_of(x)._up
+                m = x.modulus
+                S = NumericalSemigroup([m, *x.entries[1:]])
+                assert S.coordinates(m, APERY) == x
+                P = kunz_poset_of(S, m)
+                assert [row & ~(1 << a) for a, row in enumerate(P._up)][1:] == face_of(x)._up[1:]
+                pairs = [(i, (i + j) % m) for i, j in tight_pairs(x.entries, 0)]
+                assert P == KunzPoset(m, pairs)
 
     def test_face_posets_covers_and_heights(self):
         graded = [_check_covers_and_heights(face_of(x).kunz_poset) for x in _random_points()]
@@ -548,6 +562,34 @@ class TestAutomorphisms:
         for u in (2, 3, 4):
             moved = apply_automorphism(F, u)
             assert apply_automorphism(F.kunz_poset, u) == moved.kunz_poset
+
+    def test_posets_match_the_pair_route(self):
+        # face posets (pinned classes included) and labelled Apery posets,
+        # under every unit, against the pairs moved one by one
+        posets = [face_of(x).kunz_poset for x in _random_points()]
+        for gens in ([4, 13, 18], [7, 9, 11], [9, 10, 23]):
+            posets.append(apery_poset(NumericalSemigroup(gens), gens[0]))
+        for P in posets:
+            n, g = P.modulus, len(P.ground)
+            for u in (u for u in range(1, n) if gcd(u, n) == 1):
+                Q = apply_automorphism(P, u)
+                assert Q.subgroup == P.subgroup
+                rel = {(c, c) for c in Q.ground} | set(Q.relations())
+                assert rel == moved_pairs_relation(n, g, P.relations(), u), (P, u)
+                if P.labels is not None:
+                    assert all(Q.labels[u * c % g] == v for c, v in enumerate(P.labels))
+
+    def test_kunz_tuples_are_refused(self):
+        # a unit does not permute the facets of the Kunz polyhedron
+        for gens in ([5, 7, 9], [7, 9, 11], [8, 11, 13], [6, 13, 17], [9, 10, 23]):
+            m = gens[0]
+            z = NumericalSemigroup(gens).coordinates(m, KUNZ)
+            for u in (u for u in range(1, m) if gcd(u, m) == 1):
+                with pytest.raises(ValueError) as exc:
+                    apply_automorphism(z, u)
+                assert str(exc.value) == (
+                    "apply_automorphism expects homogeneous (apery-kind) coordinates"
+                )
 
     def test_label_transport(self):
         P = apery_poset(NumericalSemigroup([4, 13, 18]), 4)

@@ -39,7 +39,13 @@ from kunzcone import (
     verify_face_image,
 )
 from kunzcone.sweeps import random_semigroup_with_multiplicity
-from oracles import dp_apery, extend_relation, random_gens
+from oracles import (
+    collapsed_pairs_relation,
+    dp_apery,
+    extend_relation,
+    glued_grid_relation,
+    random_gens,
+)
 
 BASE = NumericalSemigroup([4, 13, 18])
 
@@ -240,16 +246,18 @@ class TestGluedPoset:
             assert glued_poset(spec) == kunz_poset_of(T, 12)
 
     def test_oracle_missing_one_relation_fails(self, monkeypatch, augmented_spec):
-        real = gluing._apery_order
+        real = gluing._facet_scan
 
-        def dropped(values):
-            # clear the lowest set bit of the last non-empty strict row
-            rows = real(values)
-            c = max(c for c, row in enumerate(rows) if row)
-            rows[c] &= rows[c] - 1
-            return rows
+        def dropped(values, wrap):
+            # clear the lowest set bit of the last non-empty strict row of
+            # the scan of T's n labels; the scan of Ap(S; m) stays true
+            rows, bad = real(values, wrap)
+            if len(values) == 12:
+                c = max(c for c, row in enumerate(rows) if row)
+                rows[c] &= rows[c] - 1
+            return rows, bad
 
-        monkeypatch.setattr(gluing, "_apery_order", dropped)
+        monkeypatch.setattr(gluing, "_facet_scan", dropped)
         with pytest.raises(CheckFailed, match="closed-form poset of .* disagrees"):
             glued_poset(augmented_spec)
 
@@ -260,15 +268,16 @@ import kunzcone.gluing as gluing
 from kunzcone import CheckFailed, GluingSpec, NumericalSemigroup
 
 assert False, "asserts are live"
-real = gluing._apery_order
+real = gluing._facet_scan
 
-def dropped(values):
-    rows = real(values)
-    c = max(c for c, row in enumerate(rows) if row)
-    rows[c] &= rows[c] - 1
-    return rows
+def dropped(values, wrap):
+    rows, bad = real(values, wrap)
+    if len(values) == 12:
+        c = max(c for c, row in enumerate(rows) if row)
+        rows[c] &= rows[c] - 1
+    return rows, bad
 
-gluing._apery_order = dropped
+gluing._facet_scan = dropped
 try:
     gluing.glued_poset(GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3))
 except CheckFailed as exc:
@@ -328,29 +337,30 @@ sys.exit(1)
 
     @pytest.mark.parametrize("alpha", [31, 43])
     def test_closed_form_rows_corrupted_by_one_bit(self, monkeypatch, alpha):
-        # flip each bit of each precomputed mask in turn: the oracle
-        # comparison must refuse every flip that changes the order, so a
-        # poset that comes out is always the true one
+        # flip each bit of each row the extension walk returns: the oracle
+        # comparison must refuse every flip that changes the order (each
+        # off the diagonal and outside the bottom's row), so a poset that
+        # comes out is always the true one
         spec = GluingSpec(BASE, alpha, 3)
         true = glued_poset(spec)
-        real = gluing._class_grid
-        flips = [(a, b, bit) for a in range(4) for b in range(3) for bit in range(12)]
+        real = gluing._extension_rows
+        flips = [(c, bit) for c in range(12) for bit in range(12)]
         refused = 0
-        for a, b, bit in flips:
+        for c, bit in flips:
             def corrupted(*args):
-                classes, suffix = real(*args)
-                suffix[a][b] ^= 1 << bit
-                return classes, suffix
+                rows = real(*args)
+                rows[c] ^= 1 << bit
+                return rows
 
-            monkeypatch.setattr(gluing, "_class_grid", corrupted)
+            monkeypatch.setattr(gluing, "_extension_rows", corrupted)
             try:
                 P = glued_poset(spec)
             except CheckFailed as exc:
                 assert "disagrees with the oracle" in str(exc)
                 refused += 1
             else:
-                assert P == true and P.labels == true.labels, (a, b, bit)
-        assert refused > len(flips) // 2
+                assert P == true and P.labels == true.labels, (c, bit)
+        assert refused == sum(1 for c, bit in flips if c and bit != c)
 
     def test_augmented_extras_golden(self, plain_spec, augmented_spec):
         P1 = glued_poset(plain_spec)
@@ -543,6 +553,96 @@ class TestExtendPoset:
         spec = EmbeddingSpec(12, 3, 7)
         with pytest.raises(InvalidQuotient):
             extend_poset(kunz_poset_of(NumericalSemigroup([5, 7, 9]), 5), spec, True)
+
+
+def _reflexive_relation(P):
+    return {(c, c) for c in P.ground} | set(P.relations())
+
+
+def _stratum_bases():
+    """One base per gluing_sweep stratum (m <= 10, k <= 3 extra minimal
+    generators): multiplicity m and min(m - 1, k) + 1 minimal generators."""
+    rng = random.Random(97)
+    for m in range(3, 11):
+        for k in (1, 2, 3):
+            while True:
+                gens = [m, *rng.sample(range(m + 1, 3 * m), min(m - 1, k))]
+                if gcd(*gens) == 1:
+                    S = NumericalSemigroup(gens)
+                    if len(S.generators) == len(gens):
+                        yield S
+                        break
+
+
+class TestExtensionWalk:
+    """glued_poset and extend_poset build their rows through one walk;
+    both are checked against the grid loop and the pair routes they
+    replaced (test-only references in oracles.py)."""
+
+    def test_every_stratum_matches_the_grid_loop(self):
+        rng = random.Random(98)
+        inside = outside = 0
+        for S in _stratum_bases():
+            m = S.multiplicity
+            ap = S._apery_values(m)
+            P = kunz_poset_of(S, m)
+            for beta in range(2, 6):
+                valid = [a for a in range(1, S.frobenius() + 2 * m + 1)
+                         if S.contains(a) and a not in S.generators and gcd(a, beta) == 1]
+                for pool in ([a for a in valid if a in ap], [a for a in valid if a not in ap]):
+                    if not pool:
+                        continue
+                    alpha = rng.choice(pool)
+                    inside += alpha in ap
+                    outside += alpha not in ap
+                    n = beta * m
+                    grid = glued_grid_relation(ap, alpha, beta)
+                    G = glued_poset(GluingSpec(S, alpha, beta))
+                    assert _reflexive_relation(G) == grid, (S, alpha, beta)
+                    E = extend_poset(P, EmbeddingSpec(n, beta, alpha % n), alpha in ap)
+                    assert E.subgroup == (0,) and _reflexive_relation(E) == grid, (S, alpha, beta)
+        assert inside > 50 and outside > 50
+
+    def test_trivial_base_matches_the_grid_loop(self):
+        S = NumericalSemigroup([1])
+        for beta in range(2, 6):
+            for alpha in range(2, 12):
+                if gcd(alpha, beta) == 1:
+                    G = glued_poset(GluingSpec(S, alpha, beta))
+                    assert _reflexive_relation(G) == glued_grid_relation([0], alpha, beta)
+
+    def test_collapse_matches_the_pair_route(self):
+        # beta*rho in the base subgroup: every stratum base with every rho
+        # that collapses, then random Kunz orders with a nontrivial subgroup
+        posets = [kunz_poset_of(S, S.multiplicity) for S in _stratum_bases()]
+        rng = random.Random(99)
+        while len(posets) < 60:
+            m = rng.randint(4, 12)
+            divisors = [d for d in range(2, m) if m % d == 0]
+            if not divisors:
+                continue
+            d = rng.choice(divisors)
+            pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, m))]
+            try:
+                posets.append(KunzPoset(m, pairs, subgroup=range(0, m, d)))
+            except ValueError:
+                continue
+        checked = 0
+        for P in posets:
+            k = P.modulus
+            for beta in range(2, 6):
+                n = beta * k
+                for rho in range(n):
+                    if gcd(rho % beta, beta) != 1:
+                        continue
+                    spec = EmbeddingSpec(n, beta, rho)
+                    if P.index_of(spec.brho_sub):
+                        continue
+                    E = extend_poset(P, spec, augmented=True)
+                    sub, rel = collapsed_pairs_relation(n, beta, rho, P.subgroup, P.relations())
+                    assert E.subgroup == sub and _reflexive_relation(E) == rel, (P, beta, rho)
+                    checked += 1
+        assert checked > 500
 
 
 class TestVerifyFaceImage:
