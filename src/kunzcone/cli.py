@@ -107,31 +107,30 @@ class _UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 2."""
 
 
-def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _dump(data, code: int = 0) -> tuple[str, int]:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n", code
+
+
+def _at_most(value: int, most: int, needs: str) -> None:
+    if value > most:
+        raise _UsageError(f"{needs} <= {most}")
 
 
 def _semigroup(args) -> NumericalSemigroup:
     # the least generator is the multiplicity, the length of the Apery table
-    if args.gens and min(args.gens) > MAX_MODULUS:
-        raise _UsageError(f"{args.command} needs --gens with multiplicity <= {MAX_MODULUS}")
+    if args.gens:
+        _at_most(min(args.gens), MAX_MODULUS, f"{args.command} needs --gens with multiplicity")
     return NumericalSemigroup(args.gens)
 
 
-def _modulus(args, S: NumericalSemigroup) -> int:
-    if args.m is not None and args.m > MAX_MODULUS:
-        raise _UsageError(f"{args.command} needs --m <= {MAX_MODULUS}")
-    return args.m if args.m is not None else S.multiplicity
-
-
-def _face_modulus(args, S: NumericalSemigroup) -> int:
-    m = _modulus(args, S)
-    if m > MAX_FACE_N:
-        raise _UsageError(f"{args.command} needs --m (default: the multiplicity) <= {MAX_FACE_N}")
+def _modulus(args, S: NumericalSemigroup, most: int) -> int:
+    m = S.multiplicity if args.m is None else args.m
+    _at_most(m, MAX_MODULUS, f"{args.command} needs --m")
+    _at_most(m, most, f"{args.command} needs --m (default: the multiplicity)")
     return m
 
 
-def _cmd_info(args) -> str:
+def _cmd_info(args) -> tuple[str, int]:
     S = _semigroup(args)
     return _dump({
         "generators": list(S.generators),
@@ -141,9 +140,9 @@ def _cmd_info(args) -> str:
     })
 
 
-def _cmd_apery(args) -> str:
+def _cmd_apery(args) -> tuple[str, int]:
     S = _semigroup(args)
-    m = _modulus(args, S)
+    m = _modulus(args, S, MAX_MODULUS)
     return _dump({
         "generators": list(S.generators),
         "modulus": m,
@@ -152,24 +151,24 @@ def _cmd_apery(args) -> str:
     })
 
 
-def _cmd_poset(args) -> str:
+def _cmd_poset(args) -> tuple[str, int]:
     S = _semigroup(args)
-    P = apery_poset(S, _face_modulus(args, S))
+    P = apery_poset(S, _modulus(args, S, MAX_FACE_N))
     if args.dot:
-        return P.to_dot()
+        return P.to_dot(), 0
     return _dump(P.to_json_dict())
 
 
-def _cmd_face(args) -> str:
+def _cmd_face(args) -> tuple[str, int]:
     S = _semigroup(args)
-    m = _face_modulus(args, S)
+    m = _modulus(args, S, MAX_FACE_N)
     face = face_of(S.coordinates(m, APERY))
     data = face.to_json_dict()
     data["poset"] = face.kunz_poset.to_json_dict()
     return _dump(data)
 
 
-def _cmd_ega(args) -> str:
+def _cmd_ega(args) -> tuple[str, int]:
     if args.detect:
         if not args.gens:
             raise _UsageError("ega --detect requires --gens")
@@ -182,10 +181,9 @@ def _cmd_ega(args) -> str:
     if not args.params or len(args.params) != 4:
         raise _UsageError("ega requires --params a,h,k,d (or --detect --gens ...)")
     a, _, k, _ = args.params
-    if a > MAX_MODULUS:
-        raise _UsageError(f"ega needs --params with a <= {MAX_MODULUS}")
-    if a > MAX_FACE_N and 1 < k < a - 2:
-        raise _UsageError(f"ega with rays (1 < k < a - 2) needs a <= {MAX_FACE_N}")
+    _at_most(a, MAX_MODULUS, "ega needs --params with a")
+    if 1 < k < a - 2:
+        _at_most(a, MAX_FACE_N, "ega with rays (1 < k < a - 2) needs a")
     params, S = ega_new(*args.params)
     data = {
         "a": params.a,
@@ -202,12 +200,11 @@ def _cmd_ega(args) -> str:
     return _dump(data)
 
 
-def _cmd_glue(args) -> str:
+def _cmd_glue(args) -> tuple[str, int]:
     S = _semigroup(args)
     m = S.multiplicity
     n = args.beta * m
-    if n > MAX_FACE_N:
-        raise _UsageError(f"glue needs --beta times the multiplicity <= {MAX_FACE_N}")
+    _at_most(n, MAX_FACE_N, "glue needs --beta times the multiplicity")
     spec = GluingSpec(S, args.alpha, args.beta)
     T = glue(spec)
     F = face_of(S.coordinates(m, APERY))
@@ -224,9 +221,8 @@ def _cmd_glue(args) -> str:
     })
 
 
-def _cmd_embed(args) -> str:
-    if args.n > MAX_EMBED_N:
-        raise _UsageError(f"embed needs --n <= {MAX_EMBED_N}")
+def _cmd_embed(args) -> tuple[str, int]:
+    _at_most(args.n, MAX_EMBED_N, "embed needs --n")
     spec = EmbeddingSpec(args.n, args.hgen, args.rho)
     data = spec.to_json_dict()
     data["beta_ray"] = list(beta_ray(spec).entries)
@@ -240,7 +236,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         flag = "--" + arg.replace("_", "-")
         raise _UsageError(f"verify --suite {args.suite} needs {flag} {relation} {bound}")
     report = run_suite(args.suite, args.seed, max_m=args.max_m, max_beta=args.max_beta)
-    return _dump(report), (0 if report["failures"] == 0 else 1)
+    return _dump(report, 0 if report["failures"] == 0 else 1)
 
 
 _COMMANDS = {
@@ -251,6 +247,7 @@ _COMMANDS = {
     "ega": _cmd_ega,
     "glue": _cmd_glue,
     "embed": _cmd_embed,
+    "verify": _cmd_verify,
 }
 
 
@@ -270,15 +267,14 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# built once per process: parse_args fills a new Namespace on every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
-    code = 0
+    args = _PARSER.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "verify":
-            out, code = _cmd_verify(args)
-        else:
-            out = _COMMANDS[args.command](args)
+        out, code = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

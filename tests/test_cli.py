@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -555,3 +559,72 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "face", "--gens", "6,8,10,13,15,17")
         assert out1 == out2
         assert out1.endswith("\n")
+
+
+class TestOneParser:
+    """`main` parses with the grammar built once at import."""
+
+    COMMANDS = [
+        ["info", "--gens", "4,13,18"],
+        ["apery", "--gens", "4,13,18"],
+        ["poset", "--gens", "4,13,18"],
+        ["face", "--gens", "4,13,18"],
+        ["ega", "--params", "5,1,2,1"],
+        ["glue", "--gens", "3,5", "--alpha", "8", "--beta", "3"],
+        ["embed", "--n", "12", "--hgen", "3", "--rho", "7"],
+        ["verify", "--suite", "roundtrip", "--max-m", "6"],
+    ]
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        before = [run_cli(capsys, *argv) for argv in self.COMMANDS]
+        assert all(code == 0 for code, _, _ in before)
+
+        def never():
+            raise AssertionError("build_parser reached")
+
+        monkeypatch.setattr(cli, "build_parser", never)
+        assert [run_cli(capsys, *argv) for argv in self.COMMANDS] == before
+        assert {argv[0] for argv in self.COMMANDS} == set(cli._COMMANDS)
+
+    def test_build_parser_gives_the_same_grammar(self):
+        parser = cli.build_parser()
+        assert parser.format_help() == cli._PARSER.format_help()
+        for argv in self.COMMANDS:
+            assert parser.parse_args(argv) == cli._PARSER.parse_args(argv)
+
+    @staticmethod
+    def fresh(argv):
+        """Run ``kunzcone argv`` as its own process against this checkout."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kunzcone.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_reuse_carries_no_state(self, capsys):
+        gens = ["--gens", "4,13,18"]
+        verify = ["verify", "--suite", "roundtrip", "--max-m", "8"]
+        calls = [
+            ["poset", *gens, "--dot"],
+            ["poset", *gens],
+            [*verify, "--seed", "3"],
+            verify,
+            ["info"],
+            ["info", *gens],
+        ]
+        seen = []
+        for argv in calls:
+            try:
+                seen.append(run_cli(capsys, *argv))
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                seen.append((exc.code, captured.out, captured.err))
+        assert seen[0][1].startswith("digraph")
+        assert json.loads(seen[1][1])["modulus"] == 4
+        assert json.loads(seen[3][1])["seed"] == 0
+        assert seen[4][0] == 2
+        assert seen == [self.fresh(argv) for argv in calls]
