@@ -163,27 +163,15 @@ def ega_face_dimension(a: int, k: int) -> int:
     return 2
 
 
-def _primitive(ray: CoordTuple) -> CoordTuple:
-    g = gcd(*ray.entries)
-    if g > 1:
-        ray = CoordTuple(ray.modulus, ray.kind, tuple(v // g for v in ray.entries))
-    for v in ray.entries:
-        if v != 0:
-            if v < 0:
-                ray = ray.scale(-1)
-            break
-    return ray
-
-
 def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     """The two extremal rays of the 2-dimensional face (regime 1 < k < a-2).
 
     Both rays are first written down for d = 1, where they have the plain
     shape r_i = i and t at position m equal to x*a - m*floor(a/k), then
     moved to the actual d by the coordinate automorphism i -> d*i.  The
-    results are normalized primitive and checked to sharpen the
-    containing face: every tight facet stays tight and at least one more
-    becomes tight on each ray.
+    templates are >= 0 and t's is divided by its gcd, so the rays come out
+    primitive.  Each is checked to sharpen the containing face: every tight
+    facet stays tight and at least one more becomes tight on it.
     """
     a, k = p.a, p.k
     if not 1 < k < a - 2:
@@ -192,11 +180,11 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     if S.generators != tuple(sorted(p.generators)):
         raise OutOfRegime("presented generators are not minimal; the semigroup lies on a smaller face")
     fl = a // k
-    r_base = CoordTuple(a, APERY, tuple(range(a)))
-    t_base = CoordTuple(a, APERY, tuple(_spot(m, k)[0] * a - m * fl for m in range(a)))
+    t_base = [_spot(m, k)[0] * a - m * fl for m in range(a)]
+    g = gcd(*t_base)
     u = p.d % a
-    r = _primitive(apply_automorphism(r_base, u))
-    t = _primitive(apply_automorphism(t_base, u))
+    r = apply_automorphism(CoordTuple(a, APERY, tuple(range(a))), u)
+    t = apply_automorphism(CoordTuple(a, APERY, tuple(v // g for v in t_base)), u)
 
     up = face_of(S.coordinates(a, APERY))._up
     for name, ray in (("r", r), ("t", t)):
@@ -220,9 +208,7 @@ def ega_detect(S: NumericalSemigroup) -> Optional[EgaParams]:
     rest = gens[1:]
     if a < 2 or not rest:
         return None
-    k = len(rest)
-    if k >= a:
-        return None
+    k = len(rest)  # minimal generators lie in distinct nonzero classes mod a, so k < a
     if k == 1:
         return EgaParams(a, rest[0] // a, 1, rest[0] % a)
     deltas = {rest[i + 1] - rest[i] for i in range(k - 1)}
@@ -233,10 +219,8 @@ def ega_detect(S: NumericalSemigroup) -> Optional[EgaParams]:
         ah = anchor - d
         if ah % a != 0 or ah // a < 1:
             continue
-        try:
-            params = EgaParams(a, ah // a, k, d)
-        except InvalidParams:
-            continue
+        # gcd(a, delta) = 1 as gens has gcd 1, and ah + kd is an extreme of rest, so > a
+        params = EgaParams(a, ah // a, k, d)
         if sorted(params.generators) == list(gens):
             return params
     return None

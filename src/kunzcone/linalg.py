@@ -119,7 +119,7 @@ class IntegerEchelon:
 
 def _normalized(d: int, tail: dict[int, int]) -> tuple[int, dict[int, int]]:
     """Scale (d, tail) so that d > 0 and the gcd of all entries is 1."""
-    g = d
+    g = abs(d)
     for v in tail.values():
         g = gcd(g, v)
     if d < 0:

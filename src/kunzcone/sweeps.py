@@ -40,9 +40,7 @@ SUITES = ("roundtrip", "ega", "gluing", "embedding")
 
 
 def random_semigroup_with_multiplicity(rng: random.Random, m: int) -> NumericalSemigroup:
-    """Random semigroup with the given multiplicity; generators < 3m."""
-    if m == 1:
-        return NumericalSemigroup([1])
+    """Random semigroup with the given multiplicity m >= 2; generators < 3m."""
     gens = {m}
     for _ in range(rng.randint(1, max(2, m // 2))):
         gens.add(rng.randint(m + 1, 3 * m - 1))

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -139,6 +139,11 @@ class TestConeFace:
             "subgroup": [0],
         }
 
+    def test_repr(self):
+        F = face_of(NumericalSemigroup([4, 13, 18]).coordinates(4, APERY))
+        assert repr(F) == "ConeFace(modulus=4, tight=1 facets)"
+        assert repr(F.kunz_poset) == "KunzPoset(modulus=4, ground=4 classes, relations=5)"
+
 
 class TestKunzData:
     def test_nontrivial_subgroup(self):
@@ -193,6 +198,13 @@ class TestKunzData:
         assert str(exc.value) == (
             "tight pairs (2,1) and (3,1) force facet (2,2) which is recorded strict"
         )
+
+    def test_rowspace_names_the_forced_facet(self):
+        # 2x1 = x2 lies in the span of x1 + x2 = x3, x2 + x3 = x1, 2x3 = x2
+        F = ConeFace(4, [(1, 2), (2, 3), (3, 3)])
+        with pytest.raises(InconsistentFace) as exc:
+            F.kunz_subgroup
+        assert str(exc.value) == "equalities force facet (1,1) which is recorded strict"
 
     def test_rejections_match_squeeze_reference(self):
         # every tight set for n <= 6, then random ones up to n = 14
@@ -622,6 +634,22 @@ class TestIntegerEchelon:
     def test_gcd_normalization(self):
         assert integer_rank([[2, 4], [3, 6]], 2) == 1
 
+    def test_pivot_entries_positive(self):
+        # a residue with one entry, negative, is stored as the unit row (1, {})
+        ech = IntegerEchelon(3)
+        ech.add([0, -5, 0])
+        assert ech._rows == {1: (1, {})}
+        rng = random.Random(211)
+        for _ in range(300):
+            width = rng.randint(1, 8)
+            ech, ref = IntegerEchelon(width), ReferenceEchelon(width)
+            for _ in range(rng.randint(1, 10)):
+                row = {c: rng.randint(-6, 6) for c in rng.sample(range(width), rng.randint(1, width))}
+                assert ech.add(row) == ref.add(row)
+                assert all(d > 0 for d, _ in ech._rows.values())
+                assert ech.rank == ref.rank
+                assert ech.kernel() == _reference_kernel(ref)
+
     def test_width_checked(self):
         ech = IntegerEchelon(2)
         with pytest.raises(ValueError):
@@ -658,6 +686,15 @@ class TestIntegerEchelon:
                 continue
             got = (m - 1) - F.dimension
             assert got == numpy.linalg.matrix_rank(numpy.array(rows, dtype=float))
+
+def _reference_kernel(ref):
+    """IntegerEchelon.kernel's formula applied to a ReferenceEchelon's rows."""
+    s = lcm(*(d for d, _ in ref.rows.values()))
+    return [
+        {j: -(s // ref.rows[c][0]) * v for j, v in ref.rows[c][1].items()} if c in ref.rows else {c: s}
+        for c in range(ref.width)
+    ]
+
 
 def _facet_row(n, i, j):
     """Dense row of x_i + x_j - x_{i+j} over x_1..x_{n-1}."""

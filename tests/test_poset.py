@@ -4,10 +4,12 @@ import random
 import pytest
 
 from kunzcone import (
+    APERY,
     KunzPoset,
     NotGraded,
     NumericalSemigroup,
     apery_poset,
+    face_of,
     from_kunz_tuple,
     kunz_poset_of,
     subgroup_of,
@@ -270,6 +272,10 @@ class TestExport:
         assert dot.count("->") == 4
         assert 'n3 [label="3\\n31"];' in dot
         assert dot.count("rank=same") == 3
+
+    def test_dot_without_labels(self):
+        dot = face_of(NumericalSemigroup([4, 13, 18]).coordinates(4, APERY)).kunz_poset.to_dot()
+        assert dot.splitlines()[3:7] == [f'  n{g} [label="{g}"];' for g in range(4)]
 
     def test_dot_deterministic(self):
         a = apery_poset(NumericalSemigroup([4, 13, 18]), 4).to_dot()

@@ -37,6 +37,9 @@ class TestConstruction:
         S = NumericalSemigroup([4, 13, 18])
         assert S.generators == (4, 13, 18)
 
+    def test_json_dict(self):
+        assert NumericalSemigroup([4, 13, 18]).to_json_dict() == {"generators": [4, 13, 18]}
+
     def test_redundant_generator_dropped(self):
         # 31 = 13 + 18
         S = NumericalSemigroup([4, 13, 18, 31])
@@ -154,6 +157,8 @@ class TestApery:
             apery_by_class([4, 6], 4)
         with pytest.raises(ValueError, match="^generators do not reach every residue class$"):
             apery_by_class([0, 6, 9], 3)
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            apery_by_class([1], 0)
 
     def test_negative_generator_rejected(self):
         # a negative arc once made the old heap walk cycle for ever
@@ -314,6 +319,8 @@ class TestCoordTuple:
             x + CoordTuple(4, KUNZ, (0, 3, 4, 7))
         with pytest.raises(ValueError):
             x + CoordTuple(5, APERY, (0, 1, 2, 3, 4))
+        with pytest.raises(TypeError):
+            x + 1
 
     def test_entry_zero_pinned(self):
         with pytest.raises(ValueError):
@@ -322,6 +329,18 @@ class TestCoordTuple:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             CoordTuple(4, APERY, (0, 13, 18))
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            CoordTuple(3, APERY, (0, 1.5, 2))
+
+    def test_modulus_floor(self):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            CoordTuple(1, APERY, (0,))
+
+    def test_bad_coordinates_kind(self):
+        with pytest.raises(ValueError, match="^kind must be 'apery' or 'kunz'$"):
+            NumericalSemigroup([4, 13, 18]).coordinates(4, "bogus")
 
     def test_json_dict(self):
         x = CoordTuple(3, KUNZ, (0, 1, Fraction(1, 2)))
@@ -440,6 +459,12 @@ class TestKunzRoundTrip:
         S = NumericalSemigroup([4, 13, 18])
         with pytest.raises(ValueError):
             from_kunz_tuple(4, S.coordinates(4, APERY))
+
+    def test_modulus_checked(self):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            from_kunz_tuple(1, [])
+        with pytest.raises(ValueError, match="^modulus mismatch$"):
+            from_kunz_tuple(5, NumericalSemigroup([4, 13, 18]).coordinates(4, KUNZ))
 
 
 def _kunz_cases(rng):

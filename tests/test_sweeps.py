@@ -32,6 +32,12 @@ def test_check_counts(suite, seed, sizes, checks):
     }
 
 
+def test_unknown_suite():
+    with pytest.raises(ValueError) as exc:
+        run_suite("nope", 0)
+    assert str(exc.value) == "unknown suite 'nope'; choose from roundtrip, ega, gluing, embedding"
+
+
 def test_frobenius_labels(monkeypatch):
     real = sweeps.ega_frobenius
     monkeypatch.setattr(sweeps, "ega_frobenius", lambda p: real(p) + (p.a == 5))
