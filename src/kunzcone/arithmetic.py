@@ -206,7 +206,7 @@ def ega_detect(S: NumericalSemigroup) -> Optional[EgaParams]:
     gens = S.generators
     a = gens[0]
     rest = gens[1:]
-    if a < 2 or not rest:
+    if not rest:
         return None
     k = len(rest)  # minimal generators lie in distinct nonzero classes mod a, so k < a
     if k == 1:

@@ -7,14 +7,16 @@ linear algebra.  Ray or vertex enumeration is deliberately absent: every
 theorem implemented here needs only the equality data.
 
 The poset, the consistency walk and ``_FaceSpan`` read the rows; the latter spans
-the rows r(a, w) = e_a + e_w - e_{a+w} by substitution along a Kahn order
-of a -> a+u.  A class t reached by a tight pair and on or above no cycle
-is pinned: its first pair (a, w) comes before t, and c_t = c_a + c_w;
-each other class is free, c_t a unit vector over the free classes.  Let
-phi(e_t) = c_t, and c'_t be c_t on the free columns.  For pinned t,
-e_t - c'_t = (e_a - c'_a) + (e_w - c'_w) - r(a, w) is in the span by
-induction, and these rows span ker phi, of dimension |pinned|.  A row r
-is (r - phi(r)') + phi(r)', so the span is ker phi (+) R' for
+the rows r(a, w) = e_a + e_w - e_{a+w} by substitution in pin order.
+The classes no tight pair reaches are free and known; walking the known
+classes in order, t is pinned (and known) by its first tight pair (a, w)
+with w known, and c_t = c_a + c_w.  A class never pinned (it waits on a
+cycle) is free too; c_t of a free t is a unit vector over the free
+classes.  Let phi(e_t) = c_t, and c'_t be c_t on the free columns.  For
+pinned t, a and w come before t in the list, so e_t - c'_t =
+(e_a - c'_a) + (e_w - c'_w) - r(a, w) is in the span by induction, and
+these rows span ker phi, of dimension |pinned|.  A row r is
+(r - phi(r)') + phi(r)', so the span is ker phi (+) R' for
 R = span{c_i + c_j - c_{i+j} : (i, j) tight}: the rank is |pinned| +
 rank R, rho is in the span iff phi(rho) is in R, and class h is pinned
 to zero iff c_h is in R.
@@ -61,7 +63,7 @@ class ConeFace:
             up[i] |= 1 << t
             up[j] |= 1 << t
         self.modulus, self._up, self._trusted = n, up, False
-        self._tight = self._echelon = self._subgroup = self._poset = None
+        self._tight = self._face_span = self._subgroup = self._poset = None
 
     @classmethod
     def _from_rows(cls, modulus: int, up: list[int], trusted: bool) -> "ConeFace":
@@ -91,15 +93,15 @@ class ConeFace:
         """Tight pairs with the symmetric duplicates removed, sorted."""
         return sorted((i, j) for i, j in self.tight if i <= j)
 
-    def _tight_echelon(self) -> "_FaceSpan":
-        if self._echelon is None:
-            self._echelon = _FaceSpan(self.modulus, self._up)
-        return self._echelon
+    def _span(self) -> "_FaceSpan":
+        if self._face_span is None:
+            self._face_span = _FaceSpan(self.modulus, self._up)
+        return self._face_span
 
     @property
     def dimension(self) -> int:
         """(n-1) minus the exact rank of the tight equality system."""
-        return (self.modulus - 1) - self._tight_echelon().rank
+        return (self.modulus - 1) - self._span().rank
 
     def _check_consistency(self):
         """Reject tight sets whose equalities force a recorded-strict facet.
@@ -111,7 +113,7 @@ class ConeFace:
         antisymmetry is not asked, as classes pinned to zero form cycles.
         """
         n, up = self.modulus, self._up
-        y = self._tight_echelon()._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
+        y = self._span()._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
         for i in range(1, n):
             for j in range(i, n):
                 t = (i + j) % n
@@ -135,7 +137,7 @@ class ConeFace:
         if self._subgroup is None:
             if not self._trusted:
                 self._check_consistency()
-            y = self._tight_echelon()._kernel_values  # e_h in the span iff y_h = 0
+            y = self._span()._kernel_values  # e_h in the span iff y_h = 0
             self._subgroup = (0, *(h for h in range(1, self.modulus) if not y[h]))
         return self._subgroup
 
@@ -163,53 +165,48 @@ class ConeFace:
 
 class _FaceSpan:
     """Span of a face's tight rows by substitution, as the module says.
-    The rows c fails reach the echelon of R in Kahn order of a+w unless
-    y_a + y_w == y_{a+w} (``_values``) puts them in R; y is refreshed after
-    a redundant add, so the next add raises the rank."""
+    The rows c fails reach the echelon of R as the row walk meets them,
+    unless y_a + y_w == y_{a+w} (``_values``) puts them in R; y is refreshed
+    after a redundant add, so the next add raises the rank."""
 
     def __init__(self, n: int, up: list[int]):
-        order, rest, layer, depth, first, reached = [], list(range(1, n)), True, 0, [0] * n, 0
-        while layer:  # Kahn by layers; what stays in rest is on or above a cycle
-            reach = reduce(or_, [up[a] for a in rest], 0)
-            layer = [b for b in rest if not reach >> b & 1]
-            rest = [b for b in rest if reach >> b & 1]
-            order, depth = order + layer, depth + bool(layer)
-            for a in layer:  # the first tight pair (a, t - a) to reach t, a earliest
-                for t in _bits(up[a] & ~reached):
-                    first[t] = a
-                reached |= up[a]
-        self._free = [t for t in order if not reached >> t & 1] + rest
-        self._pinned = [t for t in order if reached >> t & 1]
-        self._first, self._depth = first, depth
+        known = ((1 << n) - 2) & ~reduce(or_, up, 0)  # no tight pair reaches these: free
+        order, first, size = list(_bits(known)), [0] * n, [1] * n
+        atoms = len(order)
+        for a in order:  # grows: pin t by its first pair (a, w) whose w is known
+            for t in _bits(up[a] & ~known):
+                w = t - a if t > a else t - a + n
+                if known >> w & 1:
+                    first[t], size[t], known = a, size[a] + size[w], known | 1 << t
+                    order.append(t)
+        self._free = order[:atoms] + list(_bits(((1 << n) - 2) & ~known))  # the rest wait on a cycle
+        self._pinned, self._first, self._size_bits = order[atoms:], first, max(size).bit_length()
         self._relations = rel = IntegerEchelon(len(self._free))
         c, field = self._values()
-        pos = {t: i for i, t in enumerate(order + rest)}
-        rows = []  # tight rows (a, w), w >= a, that c fails
+        mask, y = (1 << field) - 1, c
         for a in range(1, n):  # a + w for w >= a: [0, a) and [2a, n), or [2a - n, a) if 2a >= n
             half = (1 << a) - (1 << 2 * a - n) if 2 * a >= n else ~(1 << 2 * a) + (1 << a)
             for t in _bits(up[a] & half):
                 w = t - a if t > a else t - a + n
-                if c[a] + c[w] != c[t]:
-                    rows.append((pos[t], a, w, t))
-        mask, y = (1 << field) - 1, c
-        for _, a, w, t in sorted(rows):
-            if y[a] + y[w] != y[t]:
-                s, u = c[a] + c[w], c[t]  # the fields where they differ give the row
-                row = {f: (s >> f * field & mask) - (u >> f * field & mask)
-                       for f in {k // field for k in _bits(s ^ u)}}
-                if not rel.add(row):
-                    y = self._values()[0]
+                if y[a] + y[w] != y[t]:
+                    s, u = c[a] + c[w], c[t]  # the fields where they differ give the row
+                    row = {f: (s >> f * field & mask) - (u >> f * field & mask)
+                           for f in {k // field for k in _bits(s ^ u)}}
+                    if not rel.add(row):
+                        y = self._values()[0]
         self.rank = len(self._pinned) + rel.rank
         self._kernel_values = self._values()[0]  # y for the final R
 
     def _values(self) -> tuple[list[int], int]:
         """y_h = c_h . K (K = kernel() of R; y = c while R = 0) packed in
-        signed fields, and their width: c entries in Kahn layer l sum to at
-        most 2**l, so for |K| <= top a sum of y with |coefficients| adding to
-        at most 3 (a facet row or a unit vector) is 0 only if each field is.  y_t = y_a + y_w."""
+        signed fields, and their width: the entries of c_t are non-negative
+        and add up to size_t (1 if t is free, size_a + size_w along its
+        first pair), so for |K| <= top a sum of y with |coefficients| adding
+        to at most 3 (a facet row or a unit vector) is 0 only if each field
+        is.  y_t = y_a + y_w in pin order."""
         kernel = self._relations.kernel()  # per free column f: {j: K[f][j]}
         top = max((abs(v) for k in kernel for v in k.values()), default=1)
-        field = self._depth + top.bit_length() + 3  # 2 bits for the sum of 3, 1 for the sign
+        field = self._size_bits + top.bit_length() + 3  # 2 bits for the sum of 3, 1 for the sign
         shift = {j: i * field for i, j in enumerate(f for f, k in enumerate(kernel) if f in k)}
         y = [0] * (n := len(self._first))
         for f, t in enumerate(self._free):

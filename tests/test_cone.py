@@ -387,7 +387,7 @@ def _matches_full_echelon(n, tight, facet_row=None):
     full = ReferenceEchelon(n - 1)
     for i, j in F.canonical_tight():
         full.add(facet_row(n, i, j))
-    ech = F._tight_echelon()
+    ech = F._span()
     assert ech.rank == full.rank, (n, tight)
     subgroup = ConeFace._from_rows(n, F._up, True).kunz_subgroup
     assert subgroup == (0, *(col + 1 for col in full.unit_columns())), (n, tight)
@@ -400,10 +400,26 @@ def _matches_full_echelon(n, tight, facet_row=None):
     return F, full
 
 
+def _on_cycles(n, up):
+    """The classes t that reach themselves along a -> a+u, by a plain search."""
+    succ = [[t for t in range(n) if up[a] >> t & 1] for a in range(n)]
+    on = set()
+    for t in range(1, n):
+        stack, seen = list(succ[t]), set()
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ[b])
+        if t in seen:
+            on.add(t)
+    return on
+
+
 class TestSpanningRows:
-    """The face span substitutes along the Kahn order and sends only the
-    rows the substitution fails to an echelon; its answers must be those
-    of an echelon fed every tight row."""
+    """The face span substitutes in pin order and sends only the rows the
+    substitution fails to an echelon; its answers must be those of an
+    echelon fed every tight row."""
 
     @staticmethod
     def _tight_sets():
@@ -437,6 +453,29 @@ class TestSpanningRows:
                 kinds["rejected"] += 1
         assert kinds["pinned"] > 500 and kinds["rejected"] > 500, kinds
 
+    def test_pin_order(self):
+        # each pinned class comes after both halves of its first pair; a
+        # class on a cycle may be pinned, when one of its pairs is known
+        on_cycle = 0
+        for n, tight in self._tight_sets():
+            F = ConeFace(n, tight)
+            span = F._span()
+            assert sorted(span._free + span._pinned) == list(range(1, n)), (n, tight)
+            before = set(span._free)
+            for t in span._pinned:
+                a = span._first[t]
+                assert {a, (t - a) % n} <= before and F._up[a] >> t & 1, (n, tight, t)
+                before.add(t)
+            on_cycle += bool(_on_cycles(n, F._up) & set(span._pinned))
+        assert on_cycle > 500, on_cycle
+
+    def test_pinned_on_a_cycle(self):
+        # 2 -> 3 -> 2 is a cycle, yet (1, 1) pins 2 and then (1, 2) pins 3
+        F = ConeFace(4, [(1, 1), (1, 2), (3, 3)])
+        span = F._span()
+        assert _on_cycles(4, F._up) == {2, 3}
+        assert (span._free, span._pinned, span.rank, F.dimension) == ([1], [2, 3], 3, 0)
+
     def test_arithmetic_faces(self):
         # wide faces: many atoms, many trades between them
         rng = random.Random(137)
@@ -460,7 +499,7 @@ class TestSpanningRows:
         fib = [0, 1]
         while len(fib) < 60:
             fib.append(fib[-1] + fib[-2])
-        c, field = ConeFace(n, chain)._tight_echelon()._values()  # R = 0: y is c
+        c, field = ConeFace(n, chain)._span()._values()  # R = 0: y is c
         fields = [(c[s[k]] & (1 << field) - 1, c[s[k]] >> field) for k in range(2, 60)]
         assert fields == [(fib[k - 1], fib[k]) for k in range(2, 60)]
         for extra in ([], [(s[0], s[2])], [(s[i], s[i + 2]) for i in range(46)]):
