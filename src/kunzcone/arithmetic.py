@@ -130,15 +130,11 @@ def ega_kunz_poset(a: int, k: int, d: int) -> KunzPoset:
         raise InvalidParams(f"need 1 <= k < a and a >= 2, got a={a}, k={k}")
     if gcd(a, d) != 1:
         raise InvalidParams(f"need gcd(a, d) = 1, got a={a}, d={d}")
-    coords = [_spot(m, k) for m in range(a)]
-    pairs = []
-    for i in range(1, a):
-        xi, yi = coords[i]
-        for j in range(1, a):
-            xj, yj = coords[j]
-            if xi < xj and yi >= yj:
-                pairs.append((i * d % a, j * d % a))
-    return KunzPoset(a, pairs)
+    spots = [_spot(m, k) for m in range(a)]
+    rows = [0] * a
+    for i, (x, y) in enumerate(spots):
+        rows[i * d % a] = sum(1 << j * d % a for j, (u, v) in enumerate(spots) if x < u and y >= v)
+    return KunzPoset._from_rows(a, rows)
 
 
 def ega_frobenius(p: EgaParams) -> int:

@@ -163,9 +163,7 @@ def _cmd_face(args) -> tuple[str, int]:
     S = _semigroup(args)
     m = _modulus(args, S, MAX_FACE_N)
     face = face_of(S.coordinates(m, APERY))
-    data = face.to_json_dict()
-    data["poset"] = face.kunz_poset.to_json_dict()
-    return _dump(data)
+    return _dump({**face.to_json_dict(), "poset": face.kunz_poset.to_json_dict()})
 
 
 def _cmd_ega(args) -> tuple[str, int]:
@@ -186,10 +184,7 @@ def _cmd_ega(args) -> tuple[str, int]:
         _at_most(a, MAX_FACE_N, "ega with rays (1 < k < a - 2) needs a")
     params, S = ega_new(*args.params)
     data = {
-        "a": params.a,
-        "h": params.h,
-        "k": params.k,
-        "d": params.d,
+        "a": params.a, "h": params.h, "k": params.k, "d": params.d,
         "generators": list(S.generators),
         "frobenius": ega_frobenius(params),
         "face_dimension": ega_face_dimension(params.a, params.k),
@@ -224,9 +219,7 @@ def _cmd_glue(args) -> tuple[str, int]:
 def _cmd_embed(args) -> tuple[str, int]:
     _at_most(args.n, MAX_EMBED_N, "embed needs --n")
     spec = EmbeddingSpec(args.n, args.hgen, args.rho)
-    data = spec.to_json_dict()
-    data["beta_ray"] = list(beta_ray(spec).entries)
-    return _dump(data)
+    return _dump({**spec.to_json_dict(), "beta_ray": list(beta_ray(spec).entries)})
 
 
 def _cmd_verify(args) -> tuple[str, int]:

@@ -275,16 +275,12 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     for w in samples:
         x = phi(spec, w)
         fx = face_of(x)
-        if fx.kunz_poset != augmented:
-            report["augmented_poset"] = False
-        if fx.dimension != F.dimension:
-            report["image_dimension"] = False
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         fy = face_of(x + ray.scale(c))
-        if fy.kunz_poset != plain:
-            report["plain_poset"] = False
-        if fy.dimension != F.dimension + 1:
-            report["ray_dimension"] = False
+        held = (fx.kunz_poset == augmented, fy.kunz_poset == plain,
+                fx.dimension == F.dimension, fy.dimension == F.dimension + 1)
+        for key, ok in zip(keys, held):
+            report[key] = report[key] and ok
     report["passed"] = all(report[key] for key in keys)
     return report
 

@@ -1,15 +1,10 @@
 """Apery and Kunz posets: divisibility order on Apery elements.
 
 A KunzPoset lives on the quotient Z_n / H for a subgroup H (trivial for
-posets built from semigroups).  The relation is stored densely as one
-bitmask per ground element, which keeps closure and reduction exact and
-fast at the sizes that occur here (n up to a few hundred).
-
-Construction validates the order in one walk over the set bits of each
-row that also yields the covers: OR-ing the strict rows above a tests
-transitivity and antisymmetry once per row, and a's cover row is what of
-its strict row that union misses.  Difference closure is tested per
-relation.  Heights are relaxed along the cover rows, without recursion.
+posets built from semigroups), stored densely as one bitmask per ground
+element, so that each check and query is a few whole-row operations.
+Construction checks the order by two of them that also yield the covers
+(``KunzPoset._validate``); heights are relaxed along the cover rows.
 """
 
 from __future__ import annotations
@@ -28,6 +23,25 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _symmetric(rows: list[int]) -> bool:
+    """Whether bit j of rows[i] is bit i of rows[j] for all i, j, by Eklundh's
+    block transpose (IEEE Trans. Comput. 1972) of the rows packed w bits apart
+    (w a power of two, at least 8): step s = w/2, ..., 1 swaps the
+    off-diagonal s x s blocks of each 2s x 2s block."""
+    w = max(8, 1 << (len(rows) - 1).bit_length())
+    t = matrix = int.from_bytes(b"".join(r.to_bytes(w >> 3, "little") for r in rows), "little")
+    s = w >> 1
+    low_rows = (1 << s * w) - 1  # the rows, then the columns, with bit s clear
+    low_cols = int.from_bytes(((1 << s) - 1).to_bytes(w >> 3, "little") * w, "little")
+    while s:
+        swap = (t >> s ^ t >> s * w) & low_rows & low_cols
+        t ^= swap << s | swap << s * w
+        s >>= 1
+        low_rows ^= low_rows << s * w
+        low_cols ^= low_cols << s
+    return t == matrix
+
+
 def subgroup_of(modulus: int, elements) -> tuple[int, ...]:
     """Closure of {0} ∪ elements under addition mod ``modulus``: the
     multiples of gcd(modulus, elements)."""
@@ -44,10 +58,9 @@ class KunzPoset:
     trivial), so that minimum is x mod g and ``ground`` is range(g).
     Closed forms hand in one bit row per member of Z_n instead (private
     ``_from_rows``), folded onto x mod g.  Reflexivity and the bottom
-    element are added automatically; antisymmetry, transitivity, and
-    difference closure (a before b forces b-a before b) are validated in
-    one walk over the rows for either intake, so malformed input fails
-    fast with ValueError.
+    element are added automatically; antisymmetry, transitivity and
+    difference closure (a before b forces b-a before b) are checked for
+    either intake, so malformed input fails fast with ValueError.
 
     Equality and hashing compare modulus, subgroup, and the relation
     table only; labels are cosmetic.
@@ -92,26 +105,30 @@ class KunzPoset:
         return [1 << i for i in range(size)]
 
     def _validate(self, up: list[int], labels) -> None:
-        """Add the bottom row, then check the reflexive rows ``up`` in one
-        walk that keeps each row's covers: its strict row less the strict
-        rows above it.  ``_raise_first`` names a failing row's first fault."""
+        """Add the bottom row, check the reflexive rows ``up`` and keep their covers.
+        Difference closure is symmetry of the rows rotated down by their class.
+        Row i ORs up[j] less j into ``above`` for the lowest j left of its strict
+        row and drops up[j]; if each ``above`` stays in its row and misses i, then
+        by induction on |up[i]| each row is transitive and antisymmetric and
+        ``above`` is the union of the strict rows above i: a picked up[j] lies in
+        up[i] less i, and a dropped class in a picked up[j] less j."""
         size = len(up)
-        up[0] = (1 << size) - 1
+        full = up[0] = (1 << size) - 1
         self._up = up
         self._covers = covers = [0] * size
+        bad = 0
         for i, row in enumerate(up):
             bit, above = 1 << i, 0
             rest = strict = row ^ bit
             while rest:
                 low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                above |= up[j] ^ low
-                if not up[j - i] & low:  # j - i wraps mod size as a negative index
-                    self._raise_first(i)
-            if above & (~row | bit):  # a row above leaves i's row or holds i
-                self._raise_first(i)
+                above |= (picked := up[low.bit_length() - 1]) ^ low
+                rest &= ~picked
+            bad |= above & (~row | bit)  # a row above leaves i's row or holds i
             covers[i] = strict & ~above
+        if bad or not _symmetric([(row >> i | row << size - i) & full for i, row in enumerate(up)]):
+            for i in range(size):
+                self._raise_first(i)
         try:
             self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
         except (IndexError, KeyError) as exc:
@@ -216,10 +233,8 @@ class KunzPoset:
         """Hasse diagram in DOT, nodes in ascending class order."""
         lines = ["digraph kunz_poset {", "  rankdir=BT;", '  node [shape=box];']
         for i, g in enumerate(self.ground):
-            if self.labels is not None:
-                lines.append(f'  n{g} [label="{g}\\n{self.labels[i]}"];')
-            else:
-                lines.append(f'  n{g} [label="{g}"];')
+            text = g if self.labels is None else f"{g}\\n{self.labels[i]}"
+            lines.append(f'  n{g} [label="{text}"];')
         covers = self.covers()
         for a, b in covers:
             lines.append(f"  n{a} -> n{b};")

@@ -14,7 +14,8 @@ from kunzcone import (
     kunz_poset_of,
     subgroup_of,
 )
-from kunzcone.cli import main
+from kunzcone.cli import MAX_FACE_N, main
+from kunzcone.poset import _symmetric
 from kunzcone.sweeps import random_semigroup_with_multiplicity
 from oracles import (
     brute_covers,
@@ -218,6 +219,31 @@ class TestLongChain:
         assert out.count("rank=same") == 1000
 
 
+class TestCapChains:
+    """apery_poset at the CLI cap n = MAX_FACE_N on the two chains, checked
+    against their closed forms.  Validation picks the lowest class left of
+    each strict row, so a chain ascending in class order, <n, n + 1>, takes
+    one pick per row, and one descending in class order, <n, 2n - 1>, takes
+    a pick for every class of the row.  That is the worst case: n^2/2
+    picks, each an OR of n-bit rows, so O(n^3) bit operations, about
+    0.25 s at n = 1000 on a shared 2-core Xeon, against 0.08 s for the
+    ascending chain."""
+
+    def test_ascending_chain(self):
+        n = MAX_FACE_N
+        P = apery_poset(NumericalSemigroup([n, n + 1]), n)
+        assert P.covers() == [(c, c + 1) for c in range(n - 1)]
+        assert P.heights() == {c: c for c in range(n)}
+        assert P.labels == tuple(c * (n + 1) for c in range(n))
+
+    def test_descending_chain(self):
+        n = MAX_FACE_N
+        P = apery_poset(NumericalSemigroup([n, 2 * n - 1]), n)
+        assert P.covers() == [(0, n - 1)] + [(c, c - 1) for c in range(2, n)]
+        assert P.heights() == {c: -c % n for c in range(n)}
+        assert P.labels == tuple(-c % n * (2 * n - 1) for c in range(n))
+
+
 class TestNotGraded:
     def test_skipping_cover(self):
         P = KunzPoset(5, [(1, 2), (2, 4), (1, 4), (3, 4)])
@@ -338,6 +364,36 @@ class TestValidationWalk:
             seen[key] += 1
         assert min(seen.values()) > 500, seen
 
+    @pytest.mark.parametrize("size", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+    def test_flipped_kunz_orders_across_padding_widths(self, size):
+        # the symmetry check packs rows w = 8, 16, 32, 64 or 128 bits apart,
+        # so each width is met from both sides.  Every third order loses
+        # one cover i -> j with i != 0, which keeps it transitive but breaks
+        # difference closure at (j - i, j); the others get one or two
+        # random bits flipped.  The unflipped order must pass as well.
+        rng = random.Random(size)
+        seen = {"ok": 0, "antisymmetry": 0, "transitive": 0, "difference": 0}
+        for k in range(60):
+            gens = None
+            while gens is None:
+                gens = random_gens(rng, size, size) if k % 2 else [size]
+            S = NumericalSemigroup(gens) if k % 2 else random_semigroup_with_multiplicity(rng, size)
+            P = kunz_poset_of(S, size)
+            rows = list(P._up)
+            assert _walk_outcome(list(rows)) == (P.relations(), P.relations())
+            covers = [(i, j) for i, j in P.covers() if i]
+            if k % 3 == 0 and covers:
+                i, j = rng.choice(covers)
+                rows[i] ^= 1 << j
+            for _ in range(k % 3):
+                i, j = rng.randrange(1, size), rng.randrange(size)
+                rows[i] ^= (i != j) << j
+            ours, ref = _walk_outcome(rows)
+            assert ours == ref, (size, gens, rows)
+            key = next((q for q in seen if isinstance(ours, str) and q in ours), "ok")
+            seen[key] += 1
+        assert seen["difference"] > 10 and seen["transitive"] > 3, seen
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -356,6 +412,33 @@ class TestValidationWalk:
         full = [rows.get(i, 0) | 1 << i for i in range(7)]
         ours, ref = _walk_outcome(full)
         assert ours == ref == message
+
+
+def _brute_transpose(rows):
+    size = len(rows)
+    return [sum((rows[j] >> i & 1) << j for j in range(size)) for i in range(size)]
+
+
+class TestSymmetryKernel:
+    """``_symmetric`` against a plain transpose for every size 1..140, which
+    meets each packing width 8, 16, ..., 256: symmetric rows, the same with
+    one bit flipped (symmetric only on the diagonal), and random rows."""
+
+    def test_against_brute_transpose(self):
+        rng = random.Random(97)
+        for size in range(1, 141):
+            for _ in range(4):
+                rows = [rng.getrandbits(size) for _ in range(size)]
+                upper = [row >> i << i for i, row in enumerate(rows)]
+                sym = [u | t for u, t in zip(upper, _brute_transpose(upper))]
+                assert _symmetric(sym), (size, sym)
+                i, j = rng.randrange(size), rng.randrange(size)
+                flipped = list(sym)
+                flipped[i] ^= 1 << j
+                assert _symmetric(flipped) == (i == j), (size, i, j)
+                assert _symmetric(rows) == (rows == _brute_transpose(rows)), (size, rows)
+            if size > 1:  # the far corner, set on one side only
+                assert not _symmetric([1 << size - 1] + [0] * (size - 1))
 
 
 def _check_covers_and_heights(P):
