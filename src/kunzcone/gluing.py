@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from operator import or_
@@ -252,20 +251,20 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     """Check the face-image claims on interior samples of one face F.
 
     For each sample w: the face of phi(w) must have the augmented
-    extension of F's poset and the same dimension; pushing off along the
-    beta ray by a random positive amount must land on a face with the
-    plain extension's poset and dimension one higher.
+    extension of F's poset and the same dimension, and the push off
+    q*phi(w) + p*ray along the beta ray (random p, q in 1..9) must land
+    on a face with the plain extension's poset and dimension one higher.
+    The cone is homogeneous, so that is the face of phi(w) + (p/q)*ray,
+    and the point stays integral for integral samples.
     """
     if rng is None:
         rng = random.Random(0)
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    faces = [face_of(w) for w in samples]
-    for f in faces[1:]:
-        if f != faces[0]:
-            raise SampleNotInterior("samples lie on different faces of the cone")
-    F = faces[0]
+    F, *others = [face_of(w) for w in samples]
+    if any(f != F for f in others):
+        raise SampleNotInterior("samples lie on different faces of the cone")
     P = F.kunz_poset
     augmented = extend_poset(P, spec, augmented=True)
     plain = extend_poset(P, spec, augmented=False)
@@ -275,8 +274,8 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     for w in samples:
         x = phi(spec, w)
         fx = face_of(x)
-        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        fy = face_of(x + ray.scale(c))
+        p, q = rng.randint(1, 9), rng.randint(1, 9)
+        fy = face_of(x.scale(q) + ray.scale(p))
         held = (fx.kunz_poset == augmented, fy.kunz_poset == plain,
                 fx.dimension == F.dimension, fy.dimension == F.dimension + 1)
         for key, ok in zip(keys, held):

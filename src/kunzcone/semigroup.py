@@ -143,10 +143,10 @@ def _walk(gens: list[int], modulus: int, table: list) -> list[int]:
 
 def _exact(value):
     """Collapse integral Fractions to int; leave ints and proper Fractions."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
         return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     raise TypeError(f"entries must be int or Fraction, got {type(value).__name__}")
 
 

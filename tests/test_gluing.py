@@ -669,6 +669,88 @@ class TestVerifyFaceImage:
         with pytest.raises(ValueError):
             verify_face_image(spec, [])
 
+    @staticmethod
+    def random_embeddings(rng, count):
+        """``count`` (spec, w) pairs: n <= 24, any beta | n with n/beta >= 2,
+        a random rho and an integral w on a random face over Z_{n/beta}."""
+        out = []
+        while len(out) < count:
+            n = rng.randint(4, 24)
+            betas = [b for b in range(2, n) if n % b == 0 and n // b >= 2]
+            if not betas:
+                continue
+            beta = rng.choice(betas)
+            rho = rng.choice([r for r in range(1, n) if gcd(r % beta, beta) == 1])
+            spec = EmbeddingSpec(n, beta, rho)
+            S = random_semigroup_with_multiplicity(rng, spec.sub_modulus)
+            out.append((spec, S.coordinates(spec.sub_modulus, APERY)))
+        return out
+
+    @staticmethod
+    def fraction_push_reference(spec, samples, rng):
+        """The face-image report with the push off taken as x + (p/q)*ray
+        in Fractions, drawing p and q from ``rng`` in the same order."""
+        F = face_of(samples[0])
+        augmented = extend_poset(F.kunz_poset, spec, augmented=True)
+        plain = extend_poset(F.kunz_poset, spec, augmented=False)
+        keys = ("augmented_poset", "plain_poset", "image_dimension", "ray_dimension")
+        report = {"samples": len(samples), **dict.fromkeys(keys, True)}
+        for w in samples:
+            x = phi(spec, w)
+            fx = face_of(x)
+            fy = face_of(x + beta_ray(spec).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+            held = (fx.kunz_poset == augmented, fy.kunz_poset == plain,
+                    fx.dimension == F.dimension, fy.dimension == F.dimension + 1)
+            for key, ok in zip(keys, held):
+                report[key] = report[key] and ok
+        report["passed"] = all(report[key] for key in keys)
+        return report
+
+    def test_integer_samples_scan_only_integer_points(self, monkeypatch):
+        scanned = []
+
+        def recording_face_of(x):
+            scanned.append(x)
+            return face_of(x)
+
+        monkeypatch.setattr(gluing, "face_of", recording_face_of)
+        for spec, w in self.random_embeddings(random.Random(22), 40):
+            assert verify_face_image(spec, [w, w.scale(3)], rng=random.Random(spec.n))["passed"]
+        assert len(scanned) > 200
+        for x in scanned:
+            assert all(type(v) is int for v in x.entries), x
+
+    def test_integer_push_off_lands_on_the_fraction_push_face(self):
+        rng = random.Random(2203)
+        draws = 0
+        for spec, w in self.random_embeddings(rng, 100):
+            x, ray = phi(spec, w), beta_ray(spec)
+            for _ in range(4):
+                p, q = rng.randint(1, 9), rng.randint(1, 9)
+                by_int = face_of(x.scale(q) + ray.scale(p))
+                by_fraction = face_of(x + ray.scale(Fraction(p, q)))
+                assert by_int == by_fraction and by_int.tight == by_fraction.tight, (spec, w, p, q)
+                draws += 1
+        assert draws >= 300
+
+    def test_report_and_rng_stream_match_the_fraction_push(self):
+        for seed, (spec, w) in enumerate(self.random_embeddings(random.Random(2207), 30)):
+            samples = [w, w.scale(2), w.scale(5)]
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            report = verify_face_image(spec, samples, rng)
+            assert report == self.fraction_push_reference(spec, samples, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_halved_samples_give_the_integer_report(self):
+        proper = 0
+        for seed, (spec, w) in enumerate(self.random_embeddings(random.Random(2211), 30)):
+            samples = [w, w.scale(2)]
+            halved = [s.scale(Fraction(1, 2)) for s in samples]
+            proper += any(type(v) is Fraction for v in halved[0].entries)
+            assert (verify_face_image(spec, halved, random.Random(seed))
+                    == verify_face_image(spec, samples, random.Random(seed)))
+        assert proper > 0
+
     def test_gluing_shifts_dimension_by_alpha_membership(self):
         # dim(face of T) = dim(face of S), plus one when alpha is
         # not an Apery element of the base
