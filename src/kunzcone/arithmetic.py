@@ -10,18 +10,16 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
 from .cone import apply_automorphism, face_of
 from .errors import CheckFailed, InvalidParams, OutOfRegime
 from .poset import KunzPoset
-from .semigroup import APERY, CoordTuple, NumericalSemigroup
+from .semigroup import APERY, CoordTuple, NumericalSemigroup, _Record
 
 
-@dataclass(frozen=True)
-class EgaParams:
+class EgaParams(_Record):
     """Parameters (a, h, k, d) with gcd(a,d)=1 and ah+kd > a.
 
     The last condition keeps a the multiplicity and the generating set
@@ -30,25 +28,20 @@ class EgaParams:
     not a field, so it takes no part in repr, equality or hashing.
     """
 
-    a: int
-    h: int
-    k: int
-    d: int
+    _fields = ("a", "h", "k", "d")
 
-    def __post_init__(self):
-        if self.a < 2:
-            raise InvalidParams(f"need multiplicity a >= 2, got a={self.a}")
-        if self.h < 1:
-            raise InvalidParams(f"need h >= 1, got h={self.h}")
-        if not 1 <= self.k < self.a:
-            raise InvalidParams(f"need 1 <= k < a, got k={self.k}, a={self.a}")
-        if self.d == 0 or gcd(self.a, self.d) != 1:
-            raise InvalidParams(f"need gcd(a, d) = 1 and d != 0, got a={self.a}, d={self.d}")
-        if self.a * self.h + self.k * self.d <= self.a:
-            raise InvalidParams(
-                f"need ah + kd > a so the multiplicity is a, got {self.a * self.h + self.k * self.d}"
-            )
-        object.__setattr__(self, "_d_inv", pow(self.d, -1, self.a))
+    def __init__(self, a: int, h: int, k: int, d: int):
+        if a < 2:
+            raise InvalidParams(f"need multiplicity a >= 2, got a={a}")
+        if h < 1:
+            raise InvalidParams(f"need h >= 1, got h={h}")
+        if not 1 <= k < a:
+            raise InvalidParams(f"need 1 <= k < a, got k={k}, a={a}")
+        if d == 0 or gcd(a, d) != 1:
+            raise InvalidParams(f"need gcd(a, d) = 1 and d != 0, got a={a}, d={d}")
+        if a * h + k * d <= a:
+            raise InvalidParams(f"need ah + kd > a so the multiplicity is a, got {a * h + k * d}")
+        vars(self).update(a=a, h=h, k=k, d=d, _d_inv=pow(d, -1, a))
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -91,12 +84,12 @@ def ega_is_minimal(p: EgaParams) -> bool:
 
 def ega_contains(p: EgaParams, n: int) -> bool:
     """Closed-form membership: with r in [0, a-1] such that r*d = n mod a
-    and q = (n - r*d)/a, n lies in the semigroup iff q >= 0 and
-    ceil(r/k)*h <= q."""
+    and q = (n - r*d)/a, n lies in the semigroup iff ceil(r/k)*h <= q
+    (which gives q >= 0 too, as r >= 0 and h, k >= 1)."""
     a = p.a
     r = n * p._d_inv % a
     q = (n - r * p.d) // a
-    return q >= 0 and -(-r // p.k) * p.h <= q
+    return -(-r // p.k) * p.h <= q
 
 
 def ega_apery_grid(p: EgaParams) -> list[tuple[GridCoord, int]]:

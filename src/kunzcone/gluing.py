@@ -11,7 +11,6 @@ extend_poset both build their bit rows through it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 from operator import or_
@@ -28,29 +27,26 @@ from .errors import (
     SampleNotInterior,
 )
 from .poset import KunzPoset, _bits, subgroup_of
-from .semigroup import APERY, CoordTuple, NumericalSemigroup, _facet_scan
+from .semigroup import APERY, CoordTuple, NumericalSemigroup, _facet_scan, _Record
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(_Record):
     """Data of a gluing: base semigroup S, alpha in S (not a minimal
     generator), and a scaling factor beta >= 2 coprime to alpha.  The glued
     semigroup is built once, after the checks, and is not a field."""
 
-    base: NumericalSemigroup
-    alpha: int
-    beta: int
+    _fields = ("base", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.beta < 2:
-            raise InvalidParams(f"need beta >= 2, got {self.beta}")
-        if gcd(self.alpha, self.beta) != 1:
-            raise NotCoprime(f"gcd({self.alpha}, {self.beta}) != 1")
-        if not self.base.contains(self.alpha):
-            raise AlphaNotInS(f"{self.alpha} is not an element of {self.base}")
-        if self.alpha in self.base.generators:
-            raise AlphaIsGenerator(f"{self.alpha} is a minimal generator of {self.base}")
-        gens = [self.alpha] + [self.beta * g for g in self.base.generators]
-        object.__setattr__(self, "_glued", NumericalSemigroup(gens))
+    def __init__(self, base: NumericalSemigroup, alpha: int, beta: int):
+        if beta < 2:
+            raise InvalidParams(f"need beta >= 2, got {beta}")
+        if gcd(alpha, beta) != 1:
+            raise NotCoprime(f"gcd({alpha}, {beta}) != 1")
+        if not base.contains(alpha):
+            raise AlphaNotInS(f"{alpha} is not an element of {base}")
+        if alpha in base.generators:
+            raise AlphaIsGenerator(f"{alpha} is a minimal generator of {base}")
+        glued = NumericalSemigroup([alpha] + [beta * g for g in base.generators])
+        vars(self).update(base=base, alpha=alpha, beta=beta, _glued=glued)
 
 
 def glue(spec: GluingSpec) -> NumericalSemigroup:

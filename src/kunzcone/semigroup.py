@@ -9,8 +9,6 @@ implemented elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf
 
 from .errors import (
@@ -145,13 +143,42 @@ def _exact(value):
     """Collapse integral Fractions to int; leave ints and proper Fractions."""
     if isinstance(value, int):
         return value
+    from fractions import Fraction  # imported here: no library path builds one
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"entries must be int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class CoordTuple:
+class _Record:
+    """Immutable value: ``_fields`` give its repr, its equality (with the
+    same class only), its hash and the arguments copies and pickles
+    rebuild it from; other attributes take no part in these."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class CoordTuple(_Record):
     """Coordinate vector indexed by Z_n with the entry at 0 pinned to 0.
 
     kind "apery" means homogeneous cone coordinates (the Apery side);
@@ -160,21 +187,19 @@ class CoordTuple:
     synthetic cone points.
     """
 
-    modulus: int
-    kind: str
-    entries: tuple
+    _fields = ("modulus", "kind", "entries")
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int, kind: str, entries: tuple):
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if self.kind not in (APERY, KUNZ):
+        if kind not in (APERY, KUNZ):
             raise ValueError(f"kind must be {APERY!r} or {KUNZ!r}")
-        entries = tuple(_exact(v) for v in self.entries)
-        if len(entries) != self.modulus:
+        entries = tuple(_exact(v) for v in entries)
+        if len(entries) != modulus:
             raise ValueError("need exactly one entry per residue class")
         if entries[0] != 0:
             raise ValueError("the entry at index 0 must be 0")
-        object.__setattr__(self, "entries", entries)
+        vars(self).update(modulus=modulus, kind=kind, entries=entries)
 
     def __getitem__(self, index: int):
         return self.entries[index % self.modulus]
@@ -198,7 +223,7 @@ class CoordTuple:
         return {"modulus": self.modulus, "kind": self.kind, "entries": entries}
 
 
-class NumericalSemigroup:
+class NumericalSemigroup(_Record):
     """A cofinite additive submonoid of the non-negative integers.
 
     The generating set is minimalized at construction and the Apery table
@@ -213,6 +238,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("generators", "_apery_mult")
+    _fields = ("generators",)
 
     def __init__(self, generators):
         gens = sorted({int(g) for g in generators})
@@ -228,23 +254,11 @@ class NumericalSemigroup:
         object.__setattr__(self, "generators", tuple([m] + _close(gens[1:], m, table)))
         object.__setattr__(self, "_apery_mult", tuple(table))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericalSemigroup is immutable")
-
-    def __reduce__(self):  # copy, deepcopy and pickle rebuild from the generators
-        return NumericalSemigroup, (self.generators,)
-
     def __repr__(self):
         return f"NumericalSemigroup({list(self.generators)})"
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
-
-    def __eq__(self, other):
-        return isinstance(other, NumericalSemigroup) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
 
     @property
     def multiplicity(self) -> int:
@@ -286,13 +300,9 @@ class NumericalSemigroup:
         if m == 1:
             # 1 in S means S is all of N, which has no point in any cone
             raise NoGaps("the semigroup contains every non-negative integer")
-        if kind == APERY:
-            entries = values
-        elif kind == KUNZ:
-            entries = [(values[i] - i) // m for i in range(m)]
-        else:
-            raise ValueError(f"kind must be {APERY!r} or {KUNZ!r}")
-        return CoordTuple(m, kind, tuple(entries))
+        if kind == KUNZ:
+            values = [(values[i] - i) // m for i in range(m)]
+        return CoordTuple(m, kind, tuple(values))
 
     def to_json_dict(self) -> dict:
         return {"generators": list(self.generators)}

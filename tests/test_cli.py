@@ -18,6 +18,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter with ``args`` against this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -595,15 +607,7 @@ class TestOneParser:
     @staticmethod
     def fresh(argv):
         """Run ``kunzcone argv`` as its own process against this checkout."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kunzcone.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        return proc.returncode, proc.stdout, proc.stderr
+        return fresh_python("-m", "kunzcone.cli", *argv)
 
     def test_reuse_carries_no_state(self, capsys):
         gens = ["--gens", "4,13,18"]
@@ -628,3 +632,21 @@ class TestOneParser:
         assert json.loads(seen[3][1])["seed"] == 0
         assert seen[4][0] == 2
         assert seen == [self.fresh(argv) for argv in calls]
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_inspect_or_fractions(self):
+        # Fraction is imported on the first non-int coordinate entry, and
+        # integral Fractions still collapse to int
+        script = """if True:
+            import sys
+            import kunzcone.cli
+            from kunzcone import KUNZ, CoordTuple
+            print(sorted({"dataclasses", "inspect", "fractions"} & set(sys.modules)))
+            from fractions import Fraction
+            x = CoordTuple(3, KUNZ, (0, Fraction(4, 2), Fraction(1, 2)))
+            print(x.entries, [type(v).__name__ for v in x.entries])
+        """
+        assert fresh_python("-c", script) == (
+            0, "[]\n(0, 2, Fraction(1, 2)) ['int', 'int', 'Fraction']\n", ""
+        )

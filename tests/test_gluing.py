@@ -1,5 +1,5 @@
-import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -111,8 +111,9 @@ class TestGluingSpec:
         assert spec == GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3)
         assert spec != GluingSpec(BASE, 43, 3)
         assert hash(spec) == hash((BASE, 31, 3))
-        assert [f.name for f in dataclasses.fields(spec)] == ["base", "alpha", "beta"]
-        assert dataclasses.asdict(spec) == {"base": BASE, "alpha": 31, "beta": 3}
+        assert spec == GluingSpec(base=BASE, alpha=31, beta=3)
+        assert spec != (BASE, 31, 3)
+        assert glue(pickle.loads(pickle.dumps(spec))) == glue(spec)
 
 
 class TestGluedApery:

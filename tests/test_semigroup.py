@@ -12,7 +12,9 @@ from kunzcone import (
     APERY,
     KUNZ,
     CoordTuple,
+    EgaParams,
     EmptyGenerators,
+    GluingSpec,
     NoGaps,
     NotAnElement,
     NotCofinite,
@@ -80,6 +82,11 @@ class TestConstruction:
         S = NumericalSemigroup([4, 13, 18])
         with pytest.raises(AttributeError):
             S.generators = (2, 3)
+        for name in ("generators", "_apery_mult"):
+            with pytest.raises(AttributeError, match="^NumericalSemigroup is immutable$"):
+                delattr(S, name)
+        assert S.generators == (4, 13, 18)
+        assert S.contains(31) and not S.contains(27)
 
     def test_copies_and_pickles(self):
         # immutable, so copies rebuild from the generators rather than
@@ -341,6 +348,11 @@ class TestCoordTuple:
     def test_bad_coordinates_kind(self):
         with pytest.raises(ValueError, match="^kind must be 'apery' or 'kunz'$"):
             NumericalSemigroup([4, 13, 18]).coordinates(4, "bogus")
+        # the element and no-gaps checks come before the kind check
+        with pytest.raises(NotAnElement):
+            NumericalSemigroup([4, 13, 18]).coordinates(5, "bogus")
+        with pytest.raises(NoGaps):
+            NumericalSemigroup([1]).coordinates(1, "bogus")
 
     def test_json_dict(self):
         x = CoordTuple(3, KUNZ, (0, 1, Fraction(1, 2)))
@@ -589,3 +601,51 @@ class TestKunzValidationCost:
         assert str(exc.value) == "z_2 + z_199 + 1 >= z_1 fails: 395 + 1 + 1 < 398"
         assert walks == [200]
         assert scans == [200]
+
+
+RECORDS = [
+    (
+        CoordTuple(4, APERY, (0, 13, 18, 31)),
+        "CoordTuple(modulus=4, kind='apery', entries=(0, 13, 18, 31))",
+        {"modulus": 4, "kind": APERY, "entries": (0, 13, 18, 31)},
+        None,
+    ),
+    (
+        EgaParams(5, 3, 3, -3),
+        "EgaParams(a=5, h=3, k=3, d=-3)",
+        {"a": 5, "h": 3, "k": 3, "d": -3},
+        "_d_inv",
+    ),
+    (
+        GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3),
+        "GluingSpec(base=NumericalSemigroup([4, 13, 18]), alpha=31, beta=3)",
+        {"base": NumericalSemigroup([4, 13, 18]), "alpha": 31, "beta": 3},
+        "_glued",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, text, fields, hidden", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+)
+def test_record_contract(record, text, fields, hidden):
+    values = tuple(fields.values())
+    assert repr(record) == text
+    assert record == type(record)(**fields) and not record != type(record)(**fields)
+    assert record != values and not record == values
+    for other, *_ in RECORDS:
+        assert (record == other) == (other is record)
+    assert hash(record) == hash(values)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+        assert vars(clone) == vars(record)
+    for name in (*fields, hidden or "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+            delattr(record, name)
+    if hidden:
+        # an attribute outside the fields takes no part in repr, == or hash
+        twin = type(record)(**fields)
+        vars(twin)[hidden] = object()
+        assert repr(twin) == text and twin == record and hash(twin) == hash(record)
