@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .arithmetic import (
     EgaParams,
@@ -57,26 +59,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gens(p, required=True):
+    def add_gens(p, required=True, modulus=False):
         p.add_argument("--gens", type=_gens, required=required,
                        help="generators, e.g. 4,13,18")
+        if modulus:
+            p.add_argument("--m", type=int, help="modulus (default: multiplicity)")
 
     p_info = sub.add_parser("info", help="summary of a semigroup")
     add_gens(p_info)
 
     p_apery = sub.add_parser("apery", help="Apery set and Kunz tuple")
-    add_gens(p_apery)
-    p_apery.add_argument("--m", type=int, help="modulus (default: multiplicity)")
+    add_gens(p_apery, modulus=True)
 
     p_poset = sub.add_parser("poset", help="Apery poset as JSON or DOT")
-    add_gens(p_poset)
-    p_poset.add_argument("--m", type=int, help="modulus (default: multiplicity)")
+    add_gens(p_poset, modulus=True)
     p_poset.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p_poset.add_argument("--out", help="write output to a file instead of stdout")
 
     p_face = sub.add_parser("face", help="face data of the Apery tuple")
-    add_gens(p_face)
-    p_face.add_argument("--m", type=int, help="modulus (default: multiplicity)")
+    add_gens(p_face, modulus=True)
 
     p_ega = sub.add_parser("ega", help="arithmetic-like family closed forms")
     p_ega.add_argument("--params", type=_int_list, help="a,h,k,d")
@@ -108,7 +109,26 @@ class _UsageError(Exception):
 
 
 def _dump(data, code: int = 0) -> tuple[str, int]:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n", code
+    return _json(data, "\n") + "\n", code
+
+
+def _json(x, nl: str) -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)`` for x at the line break and indent ``nl``,
+    with one C join per container (json encodes an indent in Python); keys must be str."""
+    if not isinstance(x, (dict, list, tuple)) or not x:  # a leaf, "{}" or "[]"
+        return int.__repr__(x) if type(x) is int else json.dumps(x)
+    sep = "," + (inner := nl + "  ")
+    if isinstance(x, dict):  # encode_basestring_ascii refuses a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + sep.join(items) + nl + "}"
+    if (kinds := set(map(type, x))) == {int}:
+        items = map(int.__repr__, x)
+    elif kinds <= {list, tuple} and len({*map(len, x)}) == 1 and {*map(type, chain(*x))} == {int}:
+        row = "[" + inner + "  " + ("," + inner + "  ").join(["%d"] * len(x[0])) + inner + "]"
+        items = map(row.__mod__, map(tuple, x))  # rows of ints, all of one length
+    else:
+        items = [_json(v, inner) for v in x]
+    return "[" + inner + sep.join(items) + nl + "]"
 
 
 def _at_most(value: int, most: int, needs: str) -> None:
@@ -123,17 +143,18 @@ def _semigroup(args) -> NumericalSemigroup:
     return NumericalSemigroup(args.gens)
 
 
-def _modulus(args, S: NumericalSemigroup, most: int) -> int:
+def _with_modulus(args, most: int) -> tuple[NumericalSemigroup, int]:
+    S = _semigroup(args)
     m = S.multiplicity if args.m is None else args.m
     _at_most(m, MAX_MODULUS, f"{args.command} needs --m")
     _at_most(m, most, f"{args.command} needs --m (default: the multiplicity)")
-    return m
+    return S, m
 
 
 def _cmd_info(args) -> tuple[str, int]:
     S = _semigroup(args)
     return _dump({
-        "generators": list(S.generators),
+        "generators": S.generators,
         "multiplicity": S.multiplicity,
         "embedding_dimension": S.embedding_dimension,
         "frobenius": S.frobenius(),
@@ -141,27 +162,24 @@ def _cmd_info(args) -> tuple[str, int]:
 
 
 def _cmd_apery(args) -> tuple[str, int]:
-    S = _semigroup(args)
-    m = _modulus(args, S, MAX_MODULUS)
+    S, m = _with_modulus(args, MAX_MODULUS)
     return _dump({
-        "generators": list(S.generators),
+        "generators": S.generators,
         "modulus": m,
         "apery": S.apery_set(m),
-        "kunz": list(S.coordinates(m, KUNZ).entries),
+        "kunz": S.coordinates(m, KUNZ).entries,
     })
 
 
 def _cmd_poset(args) -> tuple[str, int]:
-    S = _semigroup(args)
-    P = apery_poset(S, _modulus(args, S, MAX_FACE_N))
+    P = apery_poset(*_with_modulus(args, MAX_FACE_N))
     if args.dot:
         return P.to_dot(), 0
     return _dump(P.to_json_dict())
 
 
 def _cmd_face(args) -> tuple[str, int]:
-    S = _semigroup(args)
-    m = _modulus(args, S, MAX_FACE_N)
+    S, m = _with_modulus(args, MAX_FACE_N)
     face = face_of(S.coordinates(m, APERY))
     return _dump({**face.to_json_dict(), "poset": face.kunz_poset.to_json_dict()})
 
@@ -185,13 +203,13 @@ def _cmd_ega(args) -> tuple[str, int]:
     params, S = ega_new(*args.params)
     data = {
         "a": params.a, "h": params.h, "k": params.k, "d": params.d,
-        "generators": list(S.generators),
+        "generators": S.generators,
         "frobenius": ega_frobenius(params),
         "face_dimension": ega_face_dimension(params.a, params.k),
     }
     if 1 < params.k < params.a - 2:
         r, t = ega_rays(params)
-        data["rays"] = {"r": list(r.entries), "t": list(t.entries)}
+        data["rays"] = {"r": r.entries, "t": t.entries}
     return _dump(data)
 
 
@@ -205,10 +223,10 @@ def _cmd_glue(args) -> tuple[str, int]:
     F = face_of(S.coordinates(m, APERY))
     dim_t = face_of(T.coordinates(n, APERY)).dimension
     return _dump({
-        "base": list(S.generators),
+        "base": S.generators,
         "alpha": args.alpha,
         "beta": args.beta,
-        "glued": list(T.generators),
+        "glued": T.generators,
         "augmented": args.alpha in set(S.apery_set(m)),
         "face_dims": [F.dimension, dim_t],
         "base_poset": F.kunz_poset.to_json_dict(),
@@ -219,7 +237,7 @@ def _cmd_glue(args) -> tuple[str, int]:
 def _cmd_embed(args) -> tuple[str, int]:
     _at_most(args.n, MAX_EMBED_N, "embed needs --n")
     spec = EmbeddingSpec(args.n, args.hgen, args.rho)
-    return _dump({**spec.to_json_dict(), "beta_ray": list(beta_ray(spec).entries)})
+    return _dump({**spec.to_json_dict(), "beta_ray": beta_ray(spec).entries})
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -232,16 +250,8 @@ def _cmd_verify(args) -> tuple[str, int]:
     return _dump(report, 0 if report["failures"] == 0 else 1)
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "apery": _cmd_apery,
-    "poset": _cmd_poset,
-    "face": _cmd_face,
-    "ega": _cmd_ega,
-    "glue": _cmd_glue,
-    "embed": _cmd_embed,
-    "verify": _cmd_verify,
-}
+# subcommand x runs _cmd_x
+_COMMANDS = {name[5:]: cmd for name, cmd in globals().items() if name.startswith("_cmd_")}
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:

@@ -183,7 +183,7 @@ class _FaceSpan:
         self._pinned, self._first, self._size_bits = order[atoms:], first, max(size).bit_length()
         self._relations = rel = IntegerEchelon(len(self._free))
         c, field = self._values()
-        mask, y = (1 << field) - 1, c
+        mask, y, fresh = (1 << field) - 1, c, True  # fresh: y is for R as it stands
         for a in range(1, n):  # a + w for w >= a: [0, a) and [2a, n), or [2a - n, a) if 2a >= n
             half = (1 << a) - (1 << 2 * a - n) if 2 * a >= n else ~(1 << 2 * a) + (1 << a)
             for t in _bits(up[a] & half):
@@ -192,10 +192,10 @@ class _FaceSpan:
                     s, u = c[a] + c[w], c[t]  # the fields where they differ give the row
                     row = {f: (s >> f * field & mask) - (u >> f * field & mask)
                            for f in {k // field for k in _bits(s ^ u)}}
-                    if not rel.add(row):
+                    if fresh := not rel.add(row):
                         y = self._values()[0]
         self.rank = len(self._pinned) + rel.rank
-        self._kernel_values = self._values()[0]  # y for the final R
+        self._kernel_values = y if fresh else self._values()[0]  # y for the final R
 
     def _values(self) -> tuple[list[int], int]:
         """y_h = c_h . K (K = kernel() of R; y = c while R = 0) packed in

@@ -280,9 +280,7 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     return report
 
 
-def factor_monoscopic(
-    T: NumericalSemigroup,
-) -> Optional[tuple[NumericalSemigroup, int, int]]:
+def factor_monoscopic(T: NumericalSemigroup) -> Optional[tuple[NumericalSemigroup, int, int]]:
     """Express T as <alpha> + beta*S if possible.
 
     Scans the minimal generators in ascending order for an alpha whose

@@ -119,9 +119,7 @@ class IntegerEchelon:
 
 def _normalized(d: int, tail: dict[int, int]) -> tuple[int, dict[int, int]]:
     """Scale (d, tail) so that d > 0 and the gcd of all entries is 1."""
-    g = abs(d)
-    for v in tail.values():
-        g = gcd(g, v)
+    g = gcd(d, *tail.values())
     if d < 0:
         g = -g
     if g == 1:

@@ -200,13 +200,8 @@ class KunzPoset:
 
     # -- identity --------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KunzPoset)
-            and self.modulus == other.modulus
-            and self.subgroup == other.subgroup
-            and self._up == other._up
-        )
+    def __eq__(self, other):  # the subgroup is g*Z_n for the row count g
+        return isinstance(other, KunzPoset) and (self.modulus, self._up) == (other.modulus, other._up)
 
     def __hash__(self):
         return hash((self.modulus, self.subgroup, tuple(self._up)))

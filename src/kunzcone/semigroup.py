@@ -270,9 +270,8 @@ class NumericalSemigroup(_Record):
 
     def contains(self, n: int) -> bool:
         """Membership via the Apery table: n is in S iff it is at least the
-        smallest element of S in its residue class mod the multiplicity."""
-        if n < 0:
-            return False
+        smallest element of S in its residue class mod the multiplicity
+        (so a negative n is not: every entry is at least 0)."""
         table = self._apery_mult
         return n >= table[n % len(table)]
 

@@ -565,6 +565,54 @@ class TestExitCodes:
         assert err == "NoGaps: the semigroup contains every non-negative integer\n"
 
 
+def _str_keys(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(type(k) is str and _str_keys(v) for k, v in doc.items())
+    if isinstance(doc, (list, tuple)):
+        return all(map(_str_keys, doc))
+    return True
+
+
+class TestWriter:
+    """stdout is ``json.dumps(doc, sort_keys=True, indent=2)`` of the document
+    ``_dump`` received, written by the CLI's own writer."""
+
+    COMMANDS = [
+        (["info", "--gens", "4,13,18"], 0),
+        (["apery", "--gens", "4,13,18", "--m", "13"], 0),
+        (["poset", "--gens", "4,13,18"], 0),
+        (["face", "--gens", "6,8,10,13,15,17"], 0),
+        (["ega", "--params", "13,1,4,1"], 0),
+        (["ega", "--detect", "--gens", "6,7,9,10"], 0),  # detects None
+        (["glue", "--gens", "4,13,18", "--alpha", "31", "--beta", "3"], 0),
+        (["embed", "--n", "12", "--hgen", "3", "--rho", "7"], 0),
+        (["verify", "--suite", "embedding"], 1),
+    ]
+
+    def test_each_subcommand_prints_json_dumps(self, capsys, monkeypatch):
+        assert {argv[0] for argv, _ in self.COMMANDS} == set(cli._COMMANDS)
+        # every plain poset reported wrong, so the report lists failure labels
+        real_check = sweeps.verify_face_image
+        monkeypatch.setattr(
+            sweeps, "verify_face_image", lambda *args: {**real_check(*args), "plain_poset": False}
+        )
+        docs = []
+        real = cli._dump
+
+        def spy(data, code=0):
+            docs.append(data)
+            return real(data, code)
+
+        monkeypatch.setattr(cli, "_dump", spy)
+        for argv, want in self.COMMANDS:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (want, ""), argv
+            assert len(docs) == 1, argv
+            doc = docs.pop()
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+            assert _str_keys(doc), argv
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):
         _, out1, _ = run_cli(capsys, "face", "--gens", "6,8,10,13,15,17")

@@ -4,6 +4,7 @@ Examples are derandomized and bounded, so every run checks the same
 cases in a fixed time.
 """
 
+import json
 from math import gcd
 
 import pytest
@@ -29,6 +30,7 @@ from kunzcone import (
     glued_poset,
     kunz_poset_of,
 )
+from kunzcone.cli import _dump, _json
 
 
 @st.composite
@@ -111,3 +113,48 @@ def test_kunz_round_trip(S, data):
     m = S.multiplicity
     m = data.draw(st.sampled_from([g for g in range(m, 3 * m) if S.contains(g)]))
     assert from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S
+
+
+_INTS = st.integers(-10**20, 10**20)
+# quotes, backslashes, control characters and non-ASCII text, beside any text
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "☃", "\U0001f600", "a"]),
+             max_size=6).map("".join),
+)
+_LEAVES = st.one_of(_INTS, st.booleans(), st.none(), st.floats(), _TEXT)
+_LISTS = st.one_of(
+    st.lists(st.one_of(_INTS, st.booleans()), max_size=6),  # bools mixed into int lists
+    # int rows of one length (0 too: each prints []), as lists or tuples, and ragged rows
+    st.integers(0, 3).flatmap(lambda w: st.one_of(
+        st.lists(st.lists(_INTS, min_size=w, max_size=w), max_size=5),
+        st.lists(st.tuples(*[_INTS] * w), max_size=5),
+    )),
+    st.lists(st.one_of(st.lists(_INTS, max_size=3), st.tuples(_INTS, _INTS)), max_size=5),
+)
+_DOCUMENTS = st.recursive(
+    st.one_of(_LEAVES, _LISTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_DOCUMENTS)
+def test_cli_writer_is_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2)
+    assert _json(doc, "\n") == expected
+    assert _dump(doc, 1) == (expected + "\n", 1)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True, (1, 2)])
+def test_cli_writer_refuses_keys_that_are_not_str(key):
+    # json.dumps would print these keys converted; the writer never prints them
+    with pytest.raises(TypeError):
+        _json({key: 0}, "\n")
+    with pytest.raises(TypeError):
+        _json([{"a": [{key: 0}]}], "\n")

@@ -121,6 +121,11 @@ class TestMembership:
         S = NumericalSemigroup([4, 13, 18])
         assert not S.contains(-4)
         assert S.contains(0)
+        # a negative n fails the table lookup itself: every entry is at least 0
+        assert not any(S.contains(n) for n in (-1, -2, -3, -13, -10**30, -10**30 - 1))
+        N = NumericalSemigroup([1])
+        assert not any(N.contains(n) for n in (-1, -2, -10**30))
+        assert N.contains(0) and N.contains(10**30)
 
 
 class TestApery:
