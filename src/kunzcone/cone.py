@@ -10,10 +10,11 @@ The poset, the consistency walk and ``_FaceSpan`` read the rows; the latter span
 the rows r(a, w) = e_a + e_w - e_{a+w} by substitution in pin order.
 The classes no tight pair reaches are free and known; walking the known
 classes in order, t is pinned (and known) by its first tight pair (a, w)
-with w known, and c_t = c_a + c_w.  A class never pinned (it waits on a
-cycle) is free too; c_t of a free t is a unit vector over the free
-classes.  Let phi(e_t) = c_t, and c'_t be c_t on the free columns.  For
-pinned t, a and w come before t in the list, so e_t - c'_t =
+with w known, and c_t = c_a + c_w.  When the walk runs out with classes
+left, each waits on a cycle: the least is freed and the walk goes on from
+it.  c_t of a free t is a unit vector over the free classes.  Let phi(e_t)
+= c_t, and c'_t be c_t on the free columns.  For pinned t, a and w come
+before t in the walk (whichever classes are free), so e_t - c'_t =
 (e_a - c'_a) + (e_w - c'_w) - r(a, w) is in the span by induction, and
 these rows span ker phi, of dimension |pinned|.  A row r is
 (r - phi(r)') + phi(r)', so the span is ker phi (+) R' for
@@ -164,23 +165,28 @@ class ConeFace:
 
 
 class _FaceSpan:
-    """Span of a face's tight rows by substitution, as the module says.
-    The rows c fails reach the echelon of R as the row walk meets them,
-    unless y_a + y_w == y_{a+w} (``_values``) puts them in R; y is refreshed
-    after a redundant add, so the next add raises the rank."""
+    """Span of a face's tight rows by substitution, as the module says: a
+    stuck walk frees the least class left, which keeps the free columns few
+    (not n-1 when every class is reached) and the rank exact, as each pinned
+    class still follows both halves of its first pair.  The rows c fails
+    reach the echelon of R as the row walk meets them, unless y_a + y_w ==
+    y_{a+w} (``_values``) puts them in R; y is refreshed after a redundant
+    add, so the next add raises the rank."""
 
     def __init__(self, n: int, up: list[int]):
-        known = ((1 << n) - 2) & ~reduce(or_, up, 0)  # no tight pair reaches these: free
+        known = (left := (1 << n) - 2) & ~reduce(or_, up, 0) or 2  # free: the unreached, or 1
         order, first, size = list(_bits(known)), [0] * n, [1] * n
-        atoms = len(order)
         for a in order:  # grows: pin t by its first pair (a, w) whose w is known
             for t in _bits(up[a] & ~known):
                 w = t - a if t > a else t - a + n
                 if known >> w & 1:
                     first[t], size[t], known = a, size[a] + size[w], known | 1 << t
                     order.append(t)
-        self._free = order[:atoms] + list(_bits(((1 << n) - 2) & ~known))  # the rest wait on a cycle
-        self._pinned, self._first, self._size_bits = order[atoms:], first, max(size).bit_length()
+            if a == order[-1] and (rest := left & ~known):  # stuck on cycles: free the least
+                order.append((rest & -rest).bit_length() - 1)
+                known |= rest & -rest
+        self._free, self._pinned = [t for t in order if not first[t]], [t for t in order if first[t]]
+        self._first, self._size_bits = first, max(size).bit_length()
         self._relations = rel = IntegerEchelon(len(self._free))
         c, field = self._values()
         mask, y, fresh = (1 << field) - 1, c, True  # fresh: y is for R as it stands

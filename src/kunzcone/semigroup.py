@@ -209,11 +209,8 @@ class CoordTuple(_Record):
             return NotImplemented
         if (self.modulus, self.kind) != (other.modulus, other.kind):
             raise ValueError("can only add tuples of equal modulus and kind")
-        return CoordTuple(
-            self.modulus,
-            self.kind,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        entries = tuple(a + b for a, b in zip(self.entries, other.entries))
+        return CoordTuple(self.modulus, self.kind, entries)
 
     def scale(self, factor) -> "CoordTuple":
         return CoordTuple(self.modulus, self.kind, tuple(factor * v for v in self.entries))

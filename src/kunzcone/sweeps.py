@@ -76,13 +76,8 @@ class _Audit:
         return ok
 
     def report(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": len(self.failures),
-            "failed_checks": self.failures[:20],
-        }
+        return {"suite": self.suite, "seed": self.seed, "checks": self.checks,
+                "failures": len(self.failures), "failed_checks": self.failures[:20]}
 
 
 def suite_roundtrip(seed: int, max_m: int = 15) -> dict:

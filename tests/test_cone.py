@@ -455,7 +455,9 @@ class TestSpanningRows:
 
     def test_pin_order(self):
         # each pinned class comes after both halves of its first pair; a
-        # class on a cycle may be pinned, when one of its pairs is known
+        # class on a cycle may be pinned, when one of its pairs is known,
+        # and when the walk is stuck the least class left is freed, so
+        # every class ends free or pinned
         on_cycle = 0
         for n, tight in self._tight_sets():
             F = ConeFace(n, tight)
@@ -468,6 +470,21 @@ class TestSpanningRows:
                 before.add(t)
             on_cycle += bool(_on_cycles(n, F._up) & set(span._pinned))
         assert on_cycle > 500, on_cycle
+
+    def test_pinned_points_free_at_most_d_classes(self):
+        # most of these faces leave no class unreached, so the walk starts
+        # stuck; freeing one class per stuck cycle keeps the free columns
+        # at d or fewer, where freeing every class the walk never pins gives n - 1
+        rng = random.Random(139)
+        composite = [n for n in range(4, 61) if any(n % d == 0 for d in range(2, n))]
+        stuck = 0
+        for _ in range(150):
+            n = rng.choice(composite)
+            d = rng.choice([d for d in range(2, n) if n % d == 0])
+            F, _ = _matches_full_echelon(n, face_of(_pinned_point(rng, n, d)).tight, _sparse_row)
+            assert len(F._span()._free) <= d, (n, d, F._span()._free)
+            stuck += all(any(row >> t & 1 for row in F._up) for t in range(1, n))
+        assert stuck > 75, stuck
 
     def test_pinned_on_a_cycle(self):
         # 2 -> 3 -> 2 is a cycle, yet (1, 1) pins 2 and then (1, 2) pins 3

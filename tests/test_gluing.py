@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kunzcone.cone as cone
 import kunzcone.gluing as gluing
 import kunzcone.semigroup as semigroup
 from kunzcone import (
@@ -741,6 +742,29 @@ class TestVerifyFaceImage:
             report = verify_face_image(spec, samples, rng)
             assert report == self.fraction_push_reference(spec, samples, ref_rng)
             assert rng.getstate() == ref_rng.getstate()
+
+    def test_equal_image_faces_share_one_span_and_poset(self, monkeypatch):
+        # F, the image face of both samples and the face both push offs
+        # land on: 3 spans; their posets and F's two extensions: 5 posets
+        spans, posets = [], []
+        validate = KunzPoset._validate
+
+        class CountingSpan(cone._FaceSpan):
+            def __init__(self, n, up):
+                spans.append(n)
+                super().__init__(n, up)
+
+        def counting_validate(self, up, labels):
+            posets.append(len(up))
+            validate(self, up, labels)
+
+        monkeypatch.setattr(cone, "_FaceSpan", CountingSpan)
+        monkeypatch.setattr(KunzPoset, "_validate", counting_validate)
+        for seed, (spec, w) in enumerate(self.random_embeddings(random.Random(2213), 40)):
+            spans.clear()
+            posets.clear()
+            verify_face_image(spec, [w, w.scale(2)], random.Random(seed))
+            assert (len(spans), len(posets)) == (3, 5), (spec, w, spans, posets)
 
     def test_halved_samples_give_the_integer_report(self):
         proper = 0
