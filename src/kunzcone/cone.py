@@ -38,8 +38,8 @@ from .semigroup import APERY, CoordTuple, _facet_scan
 class ConeFace:
     """A face of the group cone C(Z_n), given by its tight facet set.
 
-    The set lives only in the bit rows (see the module): ``tight`` is built
-    from them on first read, and equality and hashing compare the rows.
+    The set lives only in the bit rows (see the module): ``tight`` and its
+    canonical half are read off them per call; equality and hashing compare them.
     Only ``_from_rows`` takes trusted rows (face_of's, and their images under
     apply_automorphism); tight pairs given here are vetted by a span test
     and a transitivity walk over Z_n bit rows (not exhaustive, but enough to
@@ -64,7 +64,7 @@ class ConeFace:
             up[i] |= 1 << t
             up[j] |= 1 << t
         self.modulus, self._up, self._trusted = n, up, False
-        self._tight = self._face_span = self._subgroup = self._poset = None
+        self._face_span = self._subgroup = self._poset = None
 
     @classmethod
     def _from_rows(cls, modulus: int, up: list[int], trusted: bool) -> "ConeFace":
@@ -76,10 +76,7 @@ class ConeFace:
     @property
     def tight(self) -> frozenset:
         """The tight pairs (a, u), both orders of each facet."""
-        if self._tight is None:
-            n, up = self.modulus, self._up
-            self._tight = frozenset((a, (t - a) % n) for a in range(n) for t in _bits(up[a]))
-        return self._tight
+        return frozenset(p for a, w in self.canonical_tight() for p in ((a, w), (w, a)))
 
     def __eq__(self, other):
         return isinstance(other, ConeFace) and (self.modulus, self._up) == (other.modulus, other._up)
@@ -91,8 +88,10 @@ class ConeFace:
         return f"ConeFace(modulus={self.modulus}, tight={len(self.canonical_tight())} facets)"
 
     def canonical_tight(self) -> list[tuple[int, int]]:
-        """Tight pairs with the symmetric duplicates removed, sorted."""
-        return sorted((i, j) for i, j in self.tight if i <= j)
+        """Tight pairs (a, w), a <= w, sorted: bit w >= a of row a rotated down by a."""
+        n, full = self.modulus, (1 << self.modulus) - 1
+        return [(a, w) for a, row in enumerate(self._up)
+                for w in _bits((row >> a | row << n - a) & full >> a << a)]
 
     def _span(self) -> "_FaceSpan":
         if self._face_span is None:
@@ -170,8 +169,8 @@ class _FaceSpan:
     (not n-1 when every class is reached) and the rank exact, as each pinned
     class still follows both halves of its first pair.  The rows c fails
     reach the echelon of R as the row walk meets them, unless y_a + y_w ==
-    y_{a+w} (``_values``) puts them in R; y is refreshed after a redundant
-    add, so the next add raises the rank."""
+    y_{a+w} (``_values``) puts them in R; y is refreshed after each add, so
+    every add raises the rank."""
 
     def __init__(self, n: int, up: list[int]):
         known = (left := (1 << n) - 2) & ~reduce(or_, up, 0) or 2  # free: the unreached, or 1
@@ -189,7 +188,7 @@ class _FaceSpan:
         self._first, self._size_bits = first, max(size).bit_length()
         self._relations = rel = IntegerEchelon(len(self._free))
         c, field = self._values()
-        mask, y, fresh = (1 << field) - 1, c, True  # fresh: y is for R as it stands
+        mask, y = (1 << field) - 1, c  # y is c . K for R as it stands
         for a in range(1, n):  # a + w for w >= a: [0, a) and [2a, n), or [2a - n, a) if 2a >= n
             half = (1 << a) - (1 << 2 * a - n) if 2 * a >= n else ~(1 << 2 * a) + (1 << a)
             for t in _bits(up[a] & half):
@@ -198,10 +197,10 @@ class _FaceSpan:
                     s, u = c[a] + c[w], c[t]  # the fields where they differ give the row
                     row = {f: (s >> f * field & mask) - (u >> f * field & mask)
                            for f in {k // field for k in _bits(s ^ u)}}
-                    if fresh := not rel.add(row):
-                        y = self._values()[0]
+                    rel.add(row)  # not in R, as y says, so the rank goes up
+                    y = self._values()[0]
         self.rank = len(self._pinned) + rel.rank
-        self._kernel_values = y if fresh else self._values()[0]  # y for the final R
+        self._kernel_values = y
 
     def _values(self) -> tuple[list[int], int]:
         """y_h = c_h . K (K = kernel() of R; y = c while R = 0) packed in

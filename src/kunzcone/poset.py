@@ -54,7 +54,7 @@ class KunzPoset:
     ``pairs`` are (a, b) relations meaning a precedes b; elements are
     arbitrary members of Z_n and get reduced to canonical coset
     representatives, the smallest member of each coset.  The validated
-    subgroup is g*Z_n for its least positive member g (g = n when
+    subgroup is g*Z_n for g the gcd of n and its members (g = n when
     trivial), so that minimum is x mod g and ``ground`` is range(g).
     Closed forms hand in one bit row per member of Z_n instead (private
     ``_from_rows``), folded onto x mod g.  Reflexivity and the bottom
@@ -91,16 +91,14 @@ class KunzPoset:
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         self.modulus = modulus
-        sub = frozenset(h % modulus for h in subgroup) | {0}
-        for a in sub:
-            for b in sub:
-                if (a + b) % modulus not in sub:
-                    raise ValueError(f"subgroup not closed: {a} + {b}")
-        self.subgroup = tuple(sorted(sub))
-
-        # a closed subset of Z_n is g*Z_n for its least positive member g,
-        # so the coset minimum of x is x mod g and class i is ground[i] = i
-        size = self._g = self.subgroup[1] if len(sub) > 1 else modulus
+        given = {h % modulus for h in subgroup} | {0}
+        # its sums reach g*Z_n, g the gcd, so it is closed iff it holds all of it;
+        # the coset minimum of x is then x mod g, and class i is ground[i] = i
+        self.subgroup = subgroup_of(modulus, given)
+        if len(given) != len(self.subgroup):
+            missing = next(h for h in self.subgroup if h not in given)
+            raise ValueError(f"subgroup not closed: its sums reach {missing}")
+        size = self._g = modulus // len(given)
         self.ground = tuple(range(size))
         return [1 << i for i in range(size)]
 

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import kunzcone.arithmetic as arithmetic
 from kunzcone import (
     APERY,
+    CheckFailed,
+    CoordTuple,
     EgaParams,
     GridCoord,
     InvalidParams,
@@ -331,3 +334,39 @@ class TestDetect:
         # <5,7,9>: both d=2 (h=1) and d=-2 (h=... does not divide) fit;
         # ascending wins
         assert ega_detect(NumericalSemigroup([5, 7, 9])) == EgaParams(5, 1, 2, 2)
+
+
+class TestChecks:
+    """No valid input trips these CheckFailed guards, so each test patches
+    what its guard reads."""
+
+    P = EgaParams(13, 1, 4, 1)
+
+    def test_ega_new_multiplicity(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "NumericalSemigroup", lambda gens: NumericalSemigroup([2, 3]))
+        with pytest.raises(CheckFailed) as exc:
+            ega_new(13, 1, 4, 1)
+        assert str(exc.value) == f"{self.P} generates <2, 3>, whose multiplicity is not a"
+
+    def test_apery_grid_value(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "ega_contains", lambda p, n: True)  # 14 - 13 "in S"
+        with pytest.raises(CheckFailed) as exc:
+            ega_apery_grid(self.P)
+        assert str(exc.value) == f"grid value 14 at GridCoord(x=1, y=1) of {self.P} is not an Apery element"
+
+    def test_rays_sharpen_the_face(self, monkeypatch):
+        # a "ray" that is the semigroup's own Apery tuple has its tight set
+        x = NumericalSemigroup(self.P.generators).coordinates(13, APERY)
+        monkeypatch.setattr(arithmetic, "apply_automorphism", lambda ray, u: x)
+        with pytest.raises(CheckFailed) as exc:
+            ega_rays(self.P)
+        assert str(exc.value) == f"ray r of {self.P} does not sharpen the face's tight set"
+
+    def test_rays_independent(self, monkeypatch):
+        # both templates replaced by r's, which does sharpen the face
+        real = arithmetic.apply_automorphism
+        r = CoordTuple(13, APERY, tuple(range(13)))
+        monkeypatch.setattr(arithmetic, "apply_automorphism", lambda ray, u: real(r, u))
+        with pytest.raises(CheckFailed) as exc:
+            ega_rays(self.P)
+        assert str(exc.value) == f"rays of {self.P} are not independent"

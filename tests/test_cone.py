@@ -229,6 +229,20 @@ class TestKunzData:
             rejected += raised
         assert 0 < rejected < len(cases)
 
+    def test_poset_error_becomes_inconsistent_face(self, monkeypatch):
+        # no vetted tight set is known to fail poset validation, so a poset
+        # intake that refuses everything stands in for one
+        def refuse(cls, *args, **kwargs):
+            raise ValueError("x")
+
+        F = face_of(NumericalSemigroup([4, 13, 18]).coordinates(4, APERY))
+        rebuilt = ConeFace(F.modulus, F.tight)
+        monkeypatch.setattr(KunzPoset, "_from_rows", classmethod(refuse))
+        with pytest.raises(InconsistentFace) as exc:
+            rebuilt.kunz_poset
+        assert str(exc.value) == "tight set does not induce a partial order: x"
+        assert type(exc.value.__cause__) is ValueError
+
     def test_trusted_faces_skip_vetting(self):
         # trusted rows are for faces located from an actual point; they
         # come in only through _from_rows and skip the consistency scan
@@ -371,6 +385,11 @@ class TestFaceRows:
                 assert [row & ~(1 << a) for a, row in enumerate(P._up)][1:] == face_of(x)._up[1:]
                 pairs = [(i, (i + j) % m) for i, j in tight_pairs(x.entries, 0)]
                 assert P == KunzPoset(m, pairs)
+
+    def test_canonical_tight_is_the_sorted_half(self):
+        for n, tight in TestSpanningRows._tight_sets():
+            F, half = ConeFace(n, tight), sorted(p for p in _symmetric(tight) if p[0] <= p[1])
+            assert F.canonical_tight() == half == sorted(p for p in F.tight if p[0] <= p[1]), (n, tight)
 
     def test_face_posets_covers_and_heights(self):
         graded = [_check_covers_and_heights(face_of(x).kunz_poset) for x in _random_points()]
@@ -521,6 +540,55 @@ class TestSpanningRows:
         assert fields == [(fib[k - 1], fib[k]) for k in range(2, 60)]
         for extra in ([], [(s[0], s[2])], [(s[i], s[i + 2]) for i in range(46)]):
             _matches_full_echelon(n, chain + extra)
+
+    def test_fields_hold_a_sum_of_three_at_the_bound(self):
+        # Free classes p, l, q, h = l + 1 mod 211 with 5p + 7l = 5q + 6h = 0
+        # and 511l = 1.  Chains pin classes up to size 31 (5 bits), and the
+        # rows (5, 7) on (p, l) and (5, 6) on (q, h) give kernel entries up
+        # to 7 (3 bits).  The tight pair (30l + q, 29l + h) -> 31p then has
+        # row (-31, 59, 1, 1), which puts 512 and -1 in the adjacent fields
+        # of l and h: packed 9 bits wide (5 + 3 + 1) that sum is zero, so
+        # the row would pass for one already in R.
+        n, l = 211, pow(511, -1, 211)
+        x = {"p": -7 * l * pow(5, -1, n), "l": l, "q": -(6 * l + 6) * pow(5, -1, n), "h": l + 1}
+
+        def pair(left, right):
+            return tuple(sum(k * x[v] for v, k in side.items()) % n for side in (left, right))
+
+        pins = {
+            "p": [(1, 1), (2, 2), (4, 4), (8, 8), (16, 8), (24, 4), (28, 2), (30, 1), (4, 2)],
+            "l": [(1, 1), (2, 2), (4, 4), (8, 8), (16, 8), (24, 4), (28, 1), (28, 2)],
+            "q": [(1, 1), (2, 2), (4, 2)],
+            "h": [(1, 1), (2, 2), (4, 2), (6, 1)],
+        }
+        tight = [pair({v: i}, {v: j}) for v, chain in pins.items() for i, j in chain]
+        tight += [pair({"l": 30}, {"q": 1}), pair({"l": 29}, {"h": 1})]
+        tight += [pair({"p": 1}, {"l": 1}), pair({"q": 1}, {"h": 1})]
+        tight += [pair({"p": 6}, {"l": 8}), pair({"q": 6}, {"h": 7})]  # R's rows
+        tight.append(pair({"l": 30, "q": 1}, {"l": 29, "h": 1}))
+        F, full = _matches_full_echelon(n, tight, _sparse_row)
+        assert (F._span()._size_bits, F._span().rank, full.rank) == (5, 31, 31)
+
+    def test_every_echelon_add_raises_the_rank(self, monkeypatch):
+        # y is refreshed after each add, so a row it fails is never in R yet
+        added = []
+
+        class Recording(IntegerEchelon):
+            def add(self, row):
+                added.append(super().add(row))
+                return added[-1]
+
+        monkeypatch.setattr(cone, "IntegerEchelon", Recording)
+        for n, tight in self._tight_sets():
+            ConeFace(n, tight)._span()
+        rng = random.Random(149)
+        for m in range(30, 71, 4):  # few generators at a large multiplicity
+            for k in (1, 2, 3):
+                gens = {m, *rng.sample(range(m + 1, 3 * m), k)}
+                if gcd(*gens) == 1:
+                    S = NumericalSemigroup(gens)
+                    face_of(S.coordinates(S.multiplicity, APERY))._span()
+        assert len(added) > 8000 and all(added), (len(added), added.count(False))
 
     def test_large_faces_send_few_rows(self, monkeypatch):
         sent = []

@@ -117,6 +117,27 @@ class TestGluingSpec:
         assert glue(pickle.loads(pickle.dumps(spec))) == glue(spec)
 
 
+class TestGluingChecks:
+    """No valid spec trips these CheckFailed guards, so each test patches
+    what its guard reads."""
+
+    def test_glue_minimality(self, monkeypatch):
+        # with 1 among its generators the glued semigroup is <1>, not <12, 39, 43, 54>
+        real = gluing.NumericalSemigroup
+        monkeypatch.setattr(gluing, "NumericalSemigroup", lambda gens: real([*gens, 1]))
+        spec = GluingSpec(BASE, 43, 3)
+        with pytest.raises(CheckFailed) as exc:
+            glue(spec)
+        assert str(exc.value) == f"glued generating set [12, 39, 43, 54] of {spec} is not minimal"
+
+    def test_glued_values_collide(self, monkeypatch, plain_spec):
+        # a base Apery set of zeros sends b*alpha + 0 to only beta classes
+        monkeypatch.setattr(NumericalSemigroup, "_apery_values", lambda self, m: [0] * m)
+        with pytest.raises(CheckFailed) as exc:
+            glued_apery(plain_spec)
+        assert str(exc.value) == f"glued Apery classes of {plain_spec} collide"
+
+
 class TestGluedApery:
     def test_golden(self, augmented_spec):
         values = glued_apery(augmented_spec)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -278,6 +279,29 @@ class TestQuotientGround:
 
     def test_equality_distinguishes_subgroup(self):
         assert KunzPoset(12, [], subgroup=(0, 6)) != KunzPoset(12, [], subgroup=(0, 4, 8))
+
+    def test_subgroup_accepted_iff_closed(self):
+        # every S with 0 in S, against closing S under addition by hand
+        for n in range(2, 11):
+            for mask in range(1 << n - 1):
+                given = {0, *(h for h in range(1, n) if mask >> h - 1 & 1)}
+                closure = set(given)
+                while grown := {(a + b) % n for a in closure for b in closure} - closure:
+                    closure |= grown
+                if closure == given:
+                    P = KunzPoset(n, [], subgroup=given)
+                    assert P.subgroup == tuple(sorted(given)), (n, given)
+                    assert P.ground == tuple(range(n // len(given))), (n, given)
+                else:
+                    with pytest.raises(ValueError, match="subgroup not closed"):
+                        KunzPoset(n, [], subgroup=given)
+
+    def test_large_subgroup_is_read_from_its_gcd(self):
+        # 4,000 members: a closure over pairs of them takes seconds
+        start = time.perf_counter()
+        P = KunzPoset(8000, [], subgroup=range(0, 8000, 2))
+        assert time.perf_counter() - start < 0.5
+        assert P.ground == (0, 1) and len(P.subgroup) == 4000
 
 
 class TestExport:

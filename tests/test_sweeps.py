@@ -1,10 +1,13 @@
 """Pinned reports of the verify suites: check counts, failure labels, and
 a closed form that fails inside the gluing sweep."""
 
+import json
+
 import pytest
 
 import kunzcone.sweeps as sweeps
 from kunzcone import CheckFailed, run_suite
+from kunzcone.cli import main
 
 
 @pytest.mark.parametrize(
@@ -108,3 +111,16 @@ def test_round_trip_glue_failure_is_one_failed_check(monkeypatch):
     assert report["failed_checks"] == [
         f"factor round trip ({spec.base}, a={spec.alpha}, b={spec.beta})"
     ]
+
+
+def test_ega_rays_failure_is_a_failed_check(monkeypatch, capsys):
+    # a CheckFailed from ega_rays is that tuple's "rays" check, and verify exits 1
+    def fails(p):
+        raise CheckFailed("rays do not sharpen the face")
+
+    monkeypatch.setattr(sweeps, "ega_rays", fails)
+    assert main(["verify", "--suite", "ega"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["checks"], report["failures"]) == (3310, 198)
+    assert report["failed_checks"][0] == "rays (a=5,h=1,k=2,d=1)"
+    assert all(label.startswith("rays (a=") for label in report["failed_checks"])
