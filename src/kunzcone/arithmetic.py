@@ -11,7 +11,7 @@ in the test suite.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .cone import apply_automorphism, face_of
 from .errors import CheckFailed, InvalidParams, OutOfRegime
@@ -185,7 +185,7 @@ def ega_rays(p: EgaParams) -> tuple[CoordTuple, CoordTuple]:
     return r, t
 
 
-def ega_detect(S: NumericalSemigroup) -> Optional[EgaParams]:
+def ega_detect(S: NumericalSemigroup) -> EgaParams | None:
     """Recognize the family from a semigroup's minimal generators.
 
     The non-multiplicity generators must form an arithmetic run; both

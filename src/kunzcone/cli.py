@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=int, default=15, dest="max_m")
     p_verify.add_argument("--max-beta", type=int, default=5, dest="max_beta")
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
 
 
@@ -275,7 +276,11 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    if sub := argv and _PARSER.commands.get(argv[0]):  # one pass, by the subcommand's parser
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if not sub or extra:  # help, an odd first token or leftovers: _PARSER's exit and text
+        args = _PARSER.parse_args(argv)
     try:
         out, code = _COMMANDS[args.command](args)
     except DomainError as exc:

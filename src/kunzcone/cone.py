@@ -25,7 +25,7 @@ to zero iff c_h is in R.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 from operator import or_
 
@@ -64,7 +64,6 @@ class ConeFace:
             up[i] |= 1 << t
             up[j] |= 1 << t
         self.modulus, self._up, self._trusted = n, up, False
-        self._face_span = self._subgroup = self._poset = None
 
     @classmethod
     def _from_rows(cls, modulus: int, up: list[int], trusted: bool) -> "ConeFace":
@@ -93,15 +92,14 @@ class ConeFace:
         return [(a, w) for a, row in enumerate(self._up)
                 for w in _bits((row >> a | row << n - a) & full >> a << a)]
 
+    @cached_property
     def _span(self) -> "_FaceSpan":
-        if self._face_span is None:
-            self._face_span = _FaceSpan(self.modulus, self._up)
-        return self._face_span
+        return _FaceSpan(self.modulus, self._up)
 
     @property
     def dimension(self) -> int:
         """(n-1) minus the exact rank of the tight equality system."""
-        return (self.modulus - 1) - self._span().rank
+        return (self.modulus - 1) - self._span.rank
 
     def _check_consistency(self):
         """Reject tight sets whose equalities force a recorded-strict facet.
@@ -113,7 +111,7 @@ class ConeFace:
         antisymmetry is not asked, as classes pinned to zero form cycles.
         """
         n, up = self.modulus, self._up
-        y = self._span()._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
+        y = self._span._kernel_values  # row (i, j) in the span iff y_i + y_j = y_{i+j}
         for i in range(1, n):
             for j in range(i, n):
                 t = (i + j) % n
@@ -131,28 +129,24 @@ class ConeFace:
                         f"facet ({a},{(c - a) % n}) which is recorded strict"
                     )
 
-    @property
+    @cached_property
     def kunz_subgroup(self) -> tuple[int, ...]:
         """H = classes whose coordinate the equality system pins to zero."""
-        if self._subgroup is None:
-            if not self._trusted:
-                self._check_consistency()
-            y = self._span()._kernel_values  # e_h in the span iff y_h = 0
-            self._subgroup = (0, *(h for h in range(1, self.modulus) if not y[h]))
-        return self._subgroup
+        if not self._trusted:
+            self._check_consistency()
+        y = self._span._kernel_values  # e_h in the span iff y_h = 0
+        return (0, *(h for h in range(1, self.modulus) if not y[h]))
 
-    @property
+    @cached_property
     def kunz_poset(self) -> KunzPoset:
         """Order on Z_n / H with a before a+j for every tight pair (a, j)."""
-        if self._poset is None:
-            sub = self.kunz_subgroup
-            try:
-                self._poset = KunzPoset._from_rows(self.modulus, self._up, subgroup=sub)
-            except ValueError as exc:
-                raise InconsistentFace(
-                    f"tight set does not induce a partial order: {exc}"
-                ) from exc
-        return self._poset
+        sub = self.kunz_subgroup
+        try:
+            return KunzPoset._from_rows(self.modulus, self._up, subgroup=sub)
+        except ValueError as exc:
+            raise InconsistentFace(
+                f"tight set does not induce a partial order: {exc}"
+            ) from exc
 
     def to_json_dict(self) -> dict:
         return {

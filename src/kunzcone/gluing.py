@@ -14,7 +14,6 @@ import random
 from itertools import accumulate
 from math import gcd
 from operator import or_
-from typing import Optional
 
 from .cone import face_of
 from .errors import (
@@ -281,7 +280,7 @@ def verify_face_image(spec: EmbeddingSpec, samples, rng=None) -> dict:
     return report
 
 
-def factor_monoscopic(T: NumericalSemigroup) -> Optional[tuple[NumericalSemigroup, int, int]]:
+def factor_monoscopic(T: NumericalSemigroup) -> tuple[NumericalSemigroup, int, int] | None:
     """Express T as <alpha> + beta*S if possible.
 
     Scans the minimal generators in ascending order for an alpha whose

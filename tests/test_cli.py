@@ -1,8 +1,12 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -646,6 +650,28 @@ class TestOneParser:
         assert [run_cli(capsys, *argv) for argv in self.COMMANDS] == before
         assert {argv[0] for argv in self.COMMANDS} == set(cli._COMMANDS)
 
+    def test_quick_calls_never_reach_the_top_parser(self, capsys, monkeypatch):
+        before = [run_cli(capsys, *argv) for argv in self.COMMANDS]
+
+        def never(*args, **kwargs):
+            raise AssertionError("top parser reached")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._PARSER, "parse_args", never)
+            patch.setattr(cli._PARSER, "parse_known_args", never)
+            assert [run_cli(capsys, *argv) for argv in self.COMMANDS] == before
+        # help, usage errors and odd first tokens still go to the top parser
+        top_usage = cli._PARSER.format_usage()
+        for argv, code, out, err in [
+            ([], 2, "", top_usage + "kunzcone: error: the following arguments are required: command\n"),
+            (["-h"], 0, cli._PARSER.format_help(), ""),
+            (["bogus"], 2, "", top_usage + "kunzcone: error: argument command: invalid choice: "
+             "'bogus' (choose from 'info', 'apery', 'poset', 'face', 'ega', 'glue', 'embed', 'verify')\n"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert (exc.value.code, *capsys.readouterr()) == (code, out, err), argv
+
     def test_build_parser_gives_the_same_grammar(self):
         parser = cli.build_parser()
         assert parser.format_help() == cli._PARSER.format_help()
@@ -680,6 +706,116 @@ class TestOneParser:
         assert json.loads(seen[3][1])["seed"] == 0
         assert seen[4][0] == 2
         assert seen == [self.fresh(argv) for argv in calls]
+
+
+class _Parsed(Exception):
+    """Raised in place of running a command: carries the parsed Namespace."""
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` ends in, commands replaced by a recorder: the
+    Namespace's vars() or the exit code, then stdout and stderr."""
+    def record(args):
+        raise _Parsed(args)
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.object(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, record)):
+        try:
+            result = vars(parse(list(argv)))
+        except _Parsed as exc:
+            result = vars(exc.args[0])
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _top_parse(argv):
+    return cli._PARSER.parse_args(cli._join_dash_values(argv))
+
+
+class TestParseParity:
+    """`main` parses a subcommand's flags with that subcommand's parser alone;
+    on every argv it ends as ``_PARSER.parse_args`` does: the same Namespace,
+    or the same exit code, stdout and stderr."""
+
+    # each subcommand's flags (None: takes no value), with values that parse and values that do not
+    FLAGS = {
+        "info": {"--gens": ["4,13,18", "-3,5", "4,x", ""]},
+        "apery": {"--gens": ["4,13,18", "0,5"], "--m": ["13", "-1", "x"]},
+        "poset": {"--gens": ["4,13,18", ",,"], "--m": ["4"], "--dot": None, "--out": ["o.txt", "-"]},
+        "face": {"--gens": ["3,5"], "--m": ["5", "1e3"]},
+        "ega": {"--params": ["5,1,2,1", "-5,1,2,3", "5,1"], "--detect": None, "--gens": ["6,7,9,10", "-4"]},
+        "glue": {"--gens": ["3,5"], "--alpha": ["8", "-2"], "--beta": ["3", "x"]},
+        "embed": {"--n": ["12", "-4", "x"], "--hgen": ["3", "-0"], "--rho": ["7", "3.5"]},
+        "verify": {"--suite": ["roundtrip", "bogus"], "--seed": ["3", "-1"], "--max-m": ["6", "x"],
+                   "--max-beta": ["2"]},
+    }
+    HOSTILE = ["-h", "--help", "--he", "--help=1", "-hx", "-x", "--foo", "--", "-", "--gens=-3,5", "--dot=1",
+               "--se", "--max", "--m=", "extra", "", ",", "-3", " 5", "3, 5", "bogus", "poset", "verify",
+               "--poset", "-info", "Poset", "glue "]
+
+    def test_the_grammar_is_the_parsers(self):
+        assert list(cli._PARSER.commands) == list(cli._COMMANDS) == list(self.FLAGS)
+        for name, sub in cli._PARSER.commands.items():
+            assert set(re.findall(r"--[\w-]+", sub.format_usage())) == set(self.FLAGS[name]), name
+
+    def test_generated_command_lines(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def command_lines(draw):
+            """A call of one subcommand from its real flags, with hostile tokens
+            anywhere after its name and, now and then, an odd first token."""
+            name = draw(st.sampled_from(list(self.FLAGS)))
+            argv = [name]
+            for _ in range(draw(st.integers(0, 6))):
+                if draw(st.integers(0, 3)):  # 3 in 4: one of the subcommand's flags
+                    flag, values = draw(st.sampled_from(list(self.FLAGS[name].items())))
+                    if values is None:
+                        argv.append(flag)
+                    else:
+                        value = draw(st.sampled_from(values))
+                        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+                else:
+                    argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(self.HOSTILE)))
+            if draw(st.integers(0, 4)) == 0:  # before the name or in its place
+                argv[:draw(st.integers(0, 1))] = [draw(st.sampled_from(self.HOSTILE))]
+            return argv
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=500)
+        @hypothesis.given(command_lines())
+        def check(argv):
+            assert _outcome(main, argv) == _outcome(_top_parse, argv)
+
+        check()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["poset", "-h"], ["--", "poset", "--gens", "3,5"],
+        ["poset", "--", "--gens", "3,5"], ["--foo", "poset", "--gens", "3,5"],
+        ["poset", "--gens", "3,5", "extra"], ["poset", "--gens", "3,5", "--bogus"],
+        ["info", "--gens", "-3,5"], ["ega", "--params", "-5,1,2,3"],
+    ])
+    def test_fixed_command_lines(self, argv):
+        # "-- poset ..." goes to _PARSER, so it ends as argparse on this Python has it
+        assert _outcome(main, argv) == _outcome(_top_parse, argv)
+
+    def test_usage_golden(self, capsys, monkeypatch):
+        """Exit code and stderr of each command line in tests/golden/cli_usage.txt;
+        leftover tokens are argparse's words under the top usage line."""
+        # the golden was written with 80 columns, as argparse wraps usage lines to the terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        blocks = (Path(__file__).parent / "golden" / "cli_usage.txt").read_text().split("$ kunzcone")
+        assert len(blocks) == 19
+        for block in blocks[1:]:
+            argv, *err, code = block.rstrip("\n").split("\n")
+            try:
+                got = main(argv.split())
+            except SystemExit as exc:
+                got = exc.code
+            want = (code, "", "".join(f"{line}\n" for line in err))
+            assert (f"exit {got}", *capsys.readouterr()) == want, argv
 
 
 class TestStartup:

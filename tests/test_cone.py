@@ -406,7 +406,7 @@ def _matches_full_echelon(n, tight, facet_row=None):
     full = ReferenceEchelon(n - 1)
     for i, j in F.canonical_tight():
         full.add(facet_row(n, i, j))
-    ech = F._span()
+    ech = F._span
     assert ech.rank == full.rank, (n, tight)
     subgroup = ConeFace._from_rows(n, F._up, True).kunz_subgroup
     assert subgroup == (0, *(col + 1 for col in full.unit_columns())), (n, tight)
@@ -480,7 +480,7 @@ class TestSpanningRows:
         on_cycle = 0
         for n, tight in self._tight_sets():
             F = ConeFace(n, tight)
-            span = F._span()
+            span = F._span
             assert sorted(span._free + span._pinned) == list(range(1, n)), (n, tight)
             before = set(span._free)
             for t in span._pinned:
@@ -501,14 +501,14 @@ class TestSpanningRows:
             n = rng.choice(composite)
             d = rng.choice([d for d in range(2, n) if n % d == 0])
             F, _ = _matches_full_echelon(n, face_of(_pinned_point(rng, n, d)).tight, _sparse_row)
-            assert len(F._span()._free) <= d, (n, d, F._span()._free)
+            assert len(F._span._free) <= d, (n, d, F._span._free)
             stuck += all(any(row >> t & 1 for row in F._up) for t in range(1, n))
         assert stuck > 75, stuck
 
     def test_pinned_on_a_cycle(self):
         # 2 -> 3 -> 2 is a cycle, yet (1, 1) pins 2 and then (1, 2) pins 3
         F = ConeFace(4, [(1, 1), (1, 2), (3, 3)])
-        span = F._span()
+        span = F._span
         assert _on_cycles(4, F._up) == {2, 3}
         assert (span._free, span._pinned, span.rank, F.dimension) == ([1], [2, 3], 3, 0)
 
@@ -535,7 +535,7 @@ class TestSpanningRows:
         fib = [0, 1]
         while len(fib) < 60:
             fib.append(fib[-1] + fib[-2])
-        c, field = ConeFace(n, chain)._span()._values()  # R = 0: y is c
+        c, field = ConeFace(n, chain)._span._values()  # R = 0: y is c
         fields = [(c[s[k]] & (1 << field) - 1, c[s[k]] >> field) for k in range(2, 60)]
         assert fields == [(fib[k - 1], fib[k]) for k in range(2, 60)]
         for extra in ([], [(s[0], s[2])], [(s[i], s[i + 2]) for i in range(46)]):
@@ -567,7 +567,7 @@ class TestSpanningRows:
         tight += [pair({"p": 6}, {"l": 8}), pair({"q": 6}, {"h": 7})]  # R's rows
         tight.append(pair({"l": 30, "q": 1}, {"l": 29, "h": 1}))
         F, full = _matches_full_echelon(n, tight, _sparse_row)
-        assert (F._span()._size_bits, F._span().rank, full.rank) == (5, 31, 31)
+        assert (F._span._size_bits, F._span.rank, full.rank) == (5, 31, 31)
 
     def test_every_echelon_add_raises_the_rank(self, monkeypatch):
         # y is refreshed after each add, so a row it fails is never in R yet
@@ -580,14 +580,14 @@ class TestSpanningRows:
 
         monkeypatch.setattr(cone, "IntegerEchelon", Recording)
         for n, tight in self._tight_sets():
-            ConeFace(n, tight)._span()
+            ConeFace(n, tight)._span
         rng = random.Random(149)
         for m in range(30, 71, 4):  # few generators at a large multiplicity
             for k in (1, 2, 3):
                 gens = {m, *rng.sample(range(m + 1, 3 * m), k)}
                 if gcd(*gens) == 1:
                     S = NumericalSemigroup(gens)
-                    face_of(S.coordinates(S.multiplicity, APERY))._span()
+                    face_of(S.coordinates(S.multiplicity, APERY))._span
         assert len(added) > 8000 and all(added), (len(added), added.count(False))
 
     def test_large_faces_send_few_rows(self, monkeypatch):
