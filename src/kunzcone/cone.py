@@ -83,8 +83,10 @@ class ConeFace:
     def __hash__(self):
         return hash((self.modulus, tuple(self._up)))
 
-    def __repr__(self):
-        return f"ConeFace(modulus={self.modulus}, tight={len(self.canonical_tight())} facets)"
+    def __repr__(self):  # facet (i, j) sets bit i+j of rows i and j: one bit if i = j
+        n, up = self.modulus, self._up
+        count = (sum(map(int.bit_count, up)) + sum(up[a] >> 2 * a % n & 1 for a in range(n))) // 2
+        return f"ConeFace(modulus={n}, tight={count} facets)"
 
     def canonical_tight(self) -> list[tuple[int, int]]:
         """Tight pairs (a, w), a <= w, sorted: bit w >= a of row a rotated down by a."""

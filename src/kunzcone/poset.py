@@ -204,10 +204,10 @@ class KunzPoset:
     def __hash__(self):
         return hash((self.modulus, self.subgroup, tuple(self._up)))
 
-    def __repr__(self):
+    def __repr__(self):  # the strict relations: every row bit but the reflexive one
         return (
             f"KunzPoset(modulus={self.modulus}, ground={len(self.ground)} classes, "
-            f"relations={len(self.relations())})"
+            f"relations={sum(map(int.bit_count, self._up)) - self._g})"
         )
 
     # -- export ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Seeded verification sweeps for the CLI verify subcommand.
 
 Each suite replays a family of closed-form results against the
-brute-force side of the library (generator Apery sets, exact rank).  One
-recorder counts the checks of a run and keeps a label for each failed
-one, formatted only on a miss; its report holds the count, the number
-of failures and the first 20 labels.  All randomness flows through one
-seeded Random instance, so output is reproducible byte for byte.
+brute-force side of the library (generator Apery sets, exact rank).  A
+suite is a generator over (rng, max_m, max_beta) that yields one
+(ok, label, *args) per check; ``run_suite`` alone counts the checks and
+formats a label, ``label.format(*args)``, only on a miss.  All
+randomness flows through the one seeded Random it builds, so output is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .gluing import (
 from .poset import kunz_poset_of
 from .semigroup import APERY, KUNZ, NumericalSemigroup, from_kunz_tuple
 
-SUITES = ("roundtrip", "ega", "gluing", "embedding")
-
 
 def random_semigroup_with_multiplicity(rng: random.Random, m: int) -> NumericalSemigroup:
     """Random semigroup with the given multiplicity m >= 2; generators < 3m."""
@@ -62,77 +61,52 @@ def iter_ega_params(max_a: int, max_h: int):
                             continue
 
 
-class _Audit:
-    """Check count and failure labels of one suite run."""
-
-    def __init__(self, suite: str, seed: int):
-        self.suite, self.seed, self.checks, self.failures = suite, seed, 0, []
-
-    def check(self, ok, label: str, *args) -> bool:
-        """Count one check; on a miss keep ``label.format(*args)``."""
-        self.checks += 1
-        if not ok:
-            self.failures.append(label.format(*args))
-        return ok
-
-    def report(self) -> dict:
-        return {"suite": self.suite, "seed": self.seed, "checks": self.checks,
-                "failures": len(self.failures), "failed_checks": self.failures[:20]}
-
-
-def suite_roundtrip(seed: int, max_m: int = 15) -> dict:
+def _roundtrip(rng: random.Random, max_m: int, max_beta: int):
     """Kunz-tuple reconstruction, face/poset agreement and automorphism
-    action on 200 random semigroups."""
-    rng = random.Random(seed)
-    audit = _Audit("roundtrip", seed)
+    action on 200 random semigroups of multiplicity <= max_m."""
     for _ in range(200):
         S = random_semigroup_with_multiplicity(rng, rng.randint(2, max_m))
         m = S.multiplicity
-        audit.check(from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S, "kunz round trip {}", S)
+        yield from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S, "kunz round trip {}", S
         face = face_of(S.coordinates(m, APERY))
         ok = face.kunz_subgroup == (0,) and face.kunz_poset == kunz_poset_of(S, m)
-        audit.check(ok, "face data of {}", S)
+        yield ok, "face data of {}", S
         u = rng.choice([u for u in range(1, m) if gcd(u, m) == 1])
         ok = apply_automorphism(apply_automorphism(face, u), pow(u, -1, m)) == face
-        audit.check(ok, "automorphism round trip {} u={}", S, u)
-    return audit.report()
+        yield ok, "automorphism round trip {} u={}", S, u
 
 
-def suite_ega(seed: int, max_m: int = 12) -> dict:
+def _ega(rng: random.Random, max_m: int, max_beta: int):
     """Membership, Frobenius, grid poset, dimension, and rays vs the oracle,
-    for every parameter tuple with h <= 2."""
-    audit = _Audit("ega", seed)
+    for every parameter tuple with h <= 2 and a <= min(max_m, 12); no draws."""
     tag = " (a={0.a},h={0.h},k={0.k},d={0.d})"
-    for p in iter_ega_params(max_m, 2):
+    for p in iter_ega_params(min(max_m, 12), 2):
         S = NumericalSemigroup(p.generators)
         x = S.coordinates(p.a, APERY)
         dist = x.entries
-        audit.check(ega_frobenius(p) == max(dist) - p.a, "frobenius" + tag, p)
+        yield ega_frobenius(p) == max(dist) - p.a, "frobenius" + tag, p
         ok = all(
             ega_contains(p, dist[c]) and (dist[c] < p.a or not ega_contains(p, dist[c] - p.a))
             for c in range(p.a)
         )
-        audit.check(ok, "membership boundary" + tag, p)
-        audit.check(ega_kunz_poset(p.a, p.k, p.d) == kunz_poset_of(S, p.a), "grid poset" + tag, p)
-        audit.check(ega_face_dimension(p.a, p.k) == face_of(x).dimension, "face dimension" + tag, p)
+        yield ok, "membership boundary" + tag, p
+        yield ega_kunz_poset(p.a, p.k, p.d) == kunz_poset_of(S, p.a), "grid poset" + tag, p
+        yield ega_face_dimension(p.a, p.k) == face_of(x).dimension, "face dimension" + tag, p
         if 1 < p.k < p.a - 2 and p.h == 1:
             try:
                 ega_rays(p)
                 ok = True
             except CheckFailed:
                 ok = False
-            audit.check(ok, "rays" + tag, p)
-    return audit.report()
+            yield ok, "rays" + tag, p
 
 
-def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5) -> dict:
+def _gluing(rng: random.Random, max_m: int, max_beta: int):
     """Closed-form Apery/poset of gluings, the extension bridge and
-    factoring, on 12 random bases."""
-    rng = random.Random(seed)
-    audit = _Audit("gluing", seed)
+    factoring, on 12 random bases of multiplicity <= min(max_m, 10)."""
     tag = " ({}, a={}, b={})"
     for _ in range(12):
-        S = random_semigroup_with_multiplicity(rng, rng.randint(3, max_m))
+        S = random_semigroup_with_multiplicity(rng, rng.randint(3, min(max_m, 10)))
         m = S.multiplicity
         ap = set(S.apery_set(m))
         base_poset = kunz_poset_of(S, m)
@@ -149,26 +123,24 @@ def suite_gluing(seed: int, max_m: int = 10, max_beta: int = 5) -> dict:
                     P = glued_poset(spec)
                 except CheckFailed:
                     P = None
-                if not audit.check(P is not None, "gluing closed form" + tag, S, alpha, beta):
+                yield P is not None, "gluing closed form" + tag, S, alpha, beta
+                if P is None:
                     continue
                 n = beta * m
                 emb = EmbeddingSpec(n, beta, alpha % n)
                 ok = extend_poset(base_poset, emb, augmented=alpha in ap) == P
-                audit.check(ok, "extension bridge" + tag, S, alpha, beta)
+                yield ok, "extension bridge" + tag, S, alpha, beta
                 try:
                     triple = factor_monoscopic(T)
                     ok = triple is not None and glue(GluingSpec(*triple)) == T
                 except CheckFailed:
                     ok = False
-                audit.check(ok, "factor round trip" + tag, S, alpha, beta)
-    return audit.report()
+                yield ok, "factor round trip" + tag, S, alpha, beta
 
 
-def suite_embedding(seed: int) -> dict:
+def _embedding(rng: random.Random, max_m: int, max_beta: int):
     """verify_face_image over 25 embedding specs with n <= 24 (the first
     one fixed, the others random) and a random face for each."""
-    rng = random.Random(seed)
-    audit = _Audit("embedding", seed)
     specs = [EmbeddingSpec(12, 3, 7)]
     while len(specs) < 25:
         n = rng.randint(4, 24)
@@ -183,8 +155,11 @@ def suite_embedding(seed: int) -> dict:
         w = S.coordinates(spec.sub_modulus, APERY)
         report = verify_face_image(spec, [w, w.scale(2)], rng)
         for key in ("augmented_poset", "plain_poset", "image_dimension", "ray_dimension"):
-            audit.check(report[key], "{0} n={1.n} h={1.h_gen} rho={1.rho} {2}", key, spec, S)
-    return audit.report()
+            yield report[key], "{0} n={1.n} h={1.h_gen} rho={1.rho} {2}", key, spec, S
+
+
+_SUITES = {"roundtrip": _roundtrip, "ega": _ega, "gluing": _gluing, "embedding": _embedding}
+SUITES = tuple(_SUITES)
 
 
 # (least, greatest) value of each size a suite reads: multiplicities start at 2
@@ -207,15 +182,17 @@ def size_error(name: str, **sizes):
 
 
 def run_suite(name: str, seed: int, max_m: int = 15, max_beta: int = 5) -> dict:
+    """Run suite ``name`` on Random(seed); the report holds the check count,
+    the number of failures and the first 20 failure labels."""
     bad = size_error(name, max_m=max_m, max_beta=max_beta)
     if bad is not None:
         raise ValueError("suite {} needs {} {} {}".format(name, *bad))
-    if name == "roundtrip":
-        return suite_roundtrip(seed, max_m=max_m)
-    if name == "ega":
-        return suite_ega(seed, max_m=min(max_m, 12))
-    if name == "gluing":
-        return suite_gluing(seed, max_m=min(max_m, 10), max_beta=max_beta)
-    if name == "embedding":
-        return suite_embedding(seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    checks, failures = 0, []
+    for ok, label, *args in _SUITES[name](random.Random(seed), max_m, max_beta):
+        checks += 1
+        if not ok:
+            failures.append(label.format(*args))
+    return {"suite": name, "seed": seed, "checks": checks,
+            "failures": len(failures), "failed_checks": failures[:20]}

@@ -144,6 +144,54 @@ class TestConeFace:
         assert repr(F) == "ConeFace(modulus=4, tight=1 facets)"
         assert repr(F.kunz_poset) == "KunzPoset(modulus=4, ground=4 classes, relations=5)"
 
+    @pytest.mark.parametrize(
+        "x, face_text, poset_text",
+        [
+            (NumericalSemigroup([6, 9, 20]).coordinates(6, APERY),
+             "ConeFace(modulus=6, tight=4 facets)",
+             "KunzPoset(modulus=6, ground=6 classes, relations=12)"),
+            (NumericalSemigroup([5, 7, 9]).coordinates(5, APERY),
+             "ConeFace(modulus=5, tight=2 facets)",
+             "KunzPoset(modulus=5, ground=5 classes, relations=7)"),
+            (CoordTuple(6, APERY, (0, 2, 1, 0, 2, 1)),
+             "ConeFace(modulus=6, tight=7 facets)",
+             "KunzPoset(modulus=6, ground=3 classes, relations=3)"),
+            (CoordTuple(8, APERY, (0, 3, 1, 3, 2, 3, 1, 3)),
+             "ConeFace(modulus=8, tight=2 facets)",
+             "KunzPoset(modulus=8, ground=8 classes, relations=9)"),
+        ],
+    )
+    def test_repr_counts_from_the_rows(self, monkeypatch, x, face_text, poset_text):
+        # neither repr builds the pair list it counts; (2,2), (4,4) and (5,5)
+        # are diagonal facets, and the third poset lives on Z_6 / {0, 3}
+        def refuse(self):
+            raise AssertionError("pair list built")
+
+        F = face_of(x)
+        P = F.kunz_poset
+        monkeypatch.setattr(ConeFace, "canonical_tight", refuse)
+        monkeypatch.setattr(KunzPoset, "relations", refuse)
+        assert (repr(F), repr(P)) == (face_text, poset_text)
+
+    def test_repr_counts_match_the_pair_lists(self):
+        # every tight set for n <= 6, and the poset of each one that induces one
+        posets = 0
+        for n in range(2, 7):
+            facets = [(i, j) for i in range(1, n) for j in range(i, n) if (i + j) % n]
+            for mask in range(1 << len(facets)):
+                F = ConeFace(n, [f for b, f in enumerate(facets) if mask >> b & 1])
+                count = len(F.canonical_tight())
+                assert count == mask.bit_count()
+                assert repr(F) == f"ConeFace(modulus={n}, tight={count} facets)"
+                try:
+                    P = F.kunz_poset
+                except InconsistentFace:
+                    continue
+                assert repr(P) == (f"KunzPoset(modulus={n}, ground={len(P.ground)} classes, "
+                                   f"relations={len(P.relations())})")
+                posets += 1
+        assert posets > 100
+
 
 class TestKunzData:
     def test_nontrivial_subgroup(self):

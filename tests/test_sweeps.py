@@ -6,7 +6,7 @@ import json
 import pytest
 
 import kunzcone.sweeps as sweeps
-from kunzcone import CheckFailed, run_suite
+from kunzcone import CheckFailed, NumericalSemigroup, run_suite
 from kunzcone.cli import main
 
 
@@ -39,6 +39,62 @@ def test_unknown_suite():
     with pytest.raises(ValueError) as exc:
         run_suite("nope", 0)
     assert str(exc.value) == "unknown suite 'nope'; choose from roundtrip, ega, gluing, embedding"
+
+
+def _undo_lost_at_7(real):
+    # each round trip calls it twice; the second call, which should undo
+    # the first, loses the face at multiplicity 7
+    calls = []
+
+    def undo_lost(obj, u):
+        calls.append(obj)
+        return None if obj.modulus == 7 and len(calls) % 2 == 0 else real(obj, u)
+
+    return undo_lost
+
+
+@pytest.mark.parametrize(
+    "name, wrong, labels",
+    [
+        (
+            "from_kunz_tuple",
+            lambda real: lambda m, kunz: None if m == 7 else real(m, kunz),
+            ["kunz round trip <7, 12, 13, 18>", "kunz round trip <7, 13>",
+             "kunz round trip <7, 10, 16>"],
+        ),
+        (
+            "kunz_poset_of",
+            lambda real: lambda S, m: None if m == 7 else real(S, m),
+            ["face data of <7, 12, 13, 18>", "face data of <7, 13>", "face data of <7, 10, 16>"],
+        ),
+        (
+            "apply_automorphism",
+            _undo_lost_at_7,
+            ["automorphism round trip <7, 12, 13, 18> u=5", "automorphism round trip <7, 13> u=6",
+             "automorphism round trip <7, 10, 16> u=3"],
+        ),
+    ],
+)
+def test_roundtrip_labels(monkeypatch, name, wrong, labels):
+    # one of the three checks fails on each of the 16 samples of multiplicity 7
+    monkeypatch.setattr(sweeps, name, wrong(getattr(sweeps, name)))
+    report = run_suite("roundtrip", 0)
+    assert (report["checks"], report["failures"]) == (600, 16)
+    assert len(report["failed_checks"]) == 16
+    assert report["failed_checks"][:3] == labels
+
+
+def test_labels_are_formatted_only_on_a_miss(monkeypatch):
+    # every label of these two suites formats a semigroup; gluing cannot take
+    # part, as GluingSpec's rejection texts format their base
+    def unprintable(self):
+        raise AssertionError("a label was formatted")
+
+    monkeypatch.setattr(NumericalSemigroup, "__str__", unprintable)
+    for name, sizes, checks in (("roundtrip", {"max_m": 6}, 600), ("embedding", {}, 100)):
+        assert run_suite(name, 0, **sizes) == {
+            "suite": name, "seed": 0, "checks": checks, "failures": 0, "failed_checks": [],
+        }
 
 
 def test_frobenius_labels(monkeypatch):
