@@ -10,8 +10,8 @@ in the test suite.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .cone import apply_automorphism, face_of
 from .errors import CheckFailed, InvalidParams, OutOfRegime
@@ -48,11 +48,8 @@ class EgaParams(_Record):
         return (self.a,) + tuple(self.a * self.h + i * self.d for i in range(1, self.k + 1))
 
 
-class GridCoord(NamedTuple):
-    """Grid position of an Apery element: row x >= 1, column 1 <= y <= k."""
-
-    x: int
-    y: int
+GridCoord = namedtuple("GridCoord", "x y")
+GridCoord.__doc__ = """Grid position of an Apery element: row x >= 1, column 1 <= y <= k."""
 
 
 def _spot(m: int, k: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from .cone import face_of
 from .errors import DomainError
 from .gluing import EmbeddingSpec, GluingSpec, beta_ray, glue, glued_poset
 from .poset import apery_poset
-from .semigroup import APERY, KUNZ, NumericalSemigroup
+from .semigroup import APERY, KUNZ, CoordTuple, NumericalSemigroup
 from .sweeps import SUITES, run_suite, size_error
 
 
@@ -222,16 +222,16 @@ def _cmd_glue(args) -> tuple[str, int]:
     spec = GluingSpec(S, args.alpha, args.beta)
     T = glue(spec)
     F = face_of(S.coordinates(m, APERY))
-    dim_t = face_of(T.coordinates(n, APERY)).dimension
+    P = glued_poset(spec)  # its labels passed T's membership test: they are Ap(T; n)
     return _dump({
         "base": S.generators,
         "alpha": args.alpha,
         "beta": args.beta,
         "glued": T.generators,
-        "augmented": args.alpha in set(S.apery_set(m)),
-        "face_dims": [F.dimension, dim_t],
+        "augmented": not S.contains(args.alpha - m),  # in Ap(S; m) iff alpha - m is not in S
+        "face_dims": [F.dimension, face_of(CoordTuple(n, APERY, P.labels)).dimension],
         "base_poset": F.kunz_poset.to_json_dict(),
-        "glued_poset": glued_poset(spec).to_json_dict(),
+        "glued_poset": P.to_json_dict(),
     })
 
 
@@ -256,16 +256,16 @@ _COMMANDS = {name[5:]: cmd for name, cmd in globals().items() if name.startswith
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--gens -3,5`` as ``--gens=-3,5``, and ``--params`` alike.
-
-    argparse takes a value that starts with '-' and is not a plain
-    negative number for a flag, so its value check would never see it.
-    """
+    """Rewrite ``--gens -3,5`` as ``--gens=-3,5`` (``--params`` alike), since argparse
+    takes a value that starts with '-' and is not a plain negative number for a flag,
+    so the value check would never see it; split ``--n=--`` (any flag) into ``--n --``,
+    a flag with no value, since argparse drops a '--' value and sets n to []."""
     out = []
     for arg in argv:
-        flag = out[-1] if out else None
-        if flag in ("--gens", "--params") and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"{flag}={arg}"
+        if out and out[-1] in ("--gens", "--params") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        elif arg[:2] == "--" and arg.partition("=")[2] == "--":
+            out += [arg[:-3], "--"]
         else:
             out.append(arg)
     return out

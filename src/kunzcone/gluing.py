@@ -126,7 +126,7 @@ def glued_poset(spec: GluingSpec) -> KunzPoset:
     ap = S._apery_values(m)
     up = [row | 1 << c for c, row in enumerate(_facet_scan(ap, 0)[0])]
     up[0] = (1 << m) - 1
-    rows = _extension_rows(up, beta, alpha, n, up[alpha % m] if alpha in ap else 0)
+    rows = _extension_rows(up, beta, alpha, n, up[alpha % m] if ap[alpha % m] == alpha else 0)
     table = _glued_values(spec)
     if not _is_apery_table(glue(spec), n, table):
         raise CheckFailed(f"closed-form Apery labels of {spec} disagree with the oracle")

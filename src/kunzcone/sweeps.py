@@ -108,7 +108,6 @@ def _gluing(rng: random.Random, max_m: int, max_beta: int):
     for _ in range(12):
         S = random_semigroup_with_multiplicity(rng, rng.randint(3, min(max_m, 10)))
         m = S.multiplicity
-        ap = set(S.apery_set(m))
         base_poset = kunz_poset_of(S, m)
         top = S.frobenius() + 2 * m
         for beta in range(2, max_beta + 1):
@@ -128,7 +127,7 @@ def _gluing(rng: random.Random, max_m: int, max_beta: int):
                     continue
                 n = beta * m
                 emb = EmbeddingSpec(n, beta, alpha % n)
-                ok = extend_poset(base_poset, emb, augmented=alpha in ap) == P
+                ok = extend_poset(base_poset, emb, augmented=not S.contains(alpha - m)) == P
                 yield ok, "extension bridge" + tag, S, alpha, beta
                 try:
                     triple = factor_monoscopic(T)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -99,6 +100,14 @@ class TestMembership:
 
 
 class TestAperyGrid:
+    def test_grid_coord_is_a_plain_pair(self):
+        spot = GridCoord(3, 4)
+        assert spot == (3, 4) and (spot.x, spot.y) == (3, 4) and GridCoord._fields == ("x", "y")
+        assert hash(spot) == hash((3, 4)) and repr(spot) == "GridCoord(x=3, y=4)"
+        back = pickle.loads(pickle.dumps(spot))
+        assert type(back) is GridCoord and back == spot
+        assert GridCoord.__doc__.startswith("Grid position of an Apery element")
+
     def test_golden_13(self):
         p, S = ega_new(13, 1, 4, 1)
         grid = dict(ega_apery_grid(p))

@@ -1,17 +1,29 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import kunzcone.sweeps as sweeps
-from kunzcone import cli, run_suite, semigroup
+from kunzcone import (
+    APERY,
+    DomainError,
+    GluingSpec,
+    NumericalSemigroup,
+    cli,
+    face_of,
+    glue,
+    run_suite,
+    semigroup,
+)
 from kunzcone.cli import MAX_EMBED_N, MAX_FACE_N, MAX_MODULUS, main
 from kunzcone.sweeps import MAX_BETA, MAX_M
 
@@ -143,6 +155,48 @@ class TestGlue:
         data = run_json(capsys, "glue", "--gens", "4,13,18", "--alpha", "43", "--beta", "3")
         assert data["glued"] == [12, 39, 43, 54]
         assert data["augmented"] is False
+
+    def test_glued_face_runs_no_apery_closure(self, capsys, monkeypatch):
+        # alpha = 17 < beta * m = 20, so T's multiplicity is 17 and Ap(T; 20) is
+        # not its membership table: the glued face reads glued_poset's labels
+        calls = []
+        real = semigroup.apery_by_class
+        monkeypatch.setattr(semigroup, "apery_by_class", lambda *a: calls.append(a) or real(*a))
+        data = run_json(capsys, "glue", "--gens", "4,13,18", "--alpha", "17", "--beta", "5")
+        assert calls == []
+        T = NumericalSemigroup([17, 20, 65, 90])
+        assert data["glued"] == list(T.generators)
+        assert data["face_dims"][1] == face_of(T.coordinates(20, APERY)).dimension
+
+    def test_augmented_and_glued_face_match_the_semigroup_reads(self, capsys):
+        """On 40 seeded specs, ``augmented`` is ``alpha in Ap(S; m)`` and the
+        glued face is that of T's own Apery tuple mod beta*m."""
+        rng, seen, count = random.Random(29), set(), 0
+        while count < 40:
+            m = rng.choice([2, 2, 3, 4, 5, 6, 7])
+            gens = [m, *rng.sample(range(m + 1, 4 * m), rng.randint(1, 3))]
+            if gcd(*gens) != 1:
+                continue
+            S = NumericalSemigroup(gens)
+            beta = rng.randint(2, 9)
+            alpha = rng.choice([rng.randint(2, 12 * m), rng.choice(S.apery_set(S.multiplicity))])
+            try:
+                spec = GluingSpec(S, alpha, beta)
+            except DomainError:
+                continue
+            n = beta * S.multiplicity
+            argv = ["--gens", ",".join(map(str, gens)), "--alpha", str(alpha), "--beta", str(beta)]
+            data = run_json(capsys, "glue", *argv)
+            augmented = alpha in S.apery_set(S.multiplicity)
+            assert data["augmented"] is augmented, argv
+            assert data["face_dims"] == [
+                face_of(S.coordinates(S.multiplicity, APERY)).dimension,
+                face_of(glue(spec).coordinates(n, APERY)).dimension,
+            ], argv
+            seen.add((S.multiplicity == 2, augmented, alpha < n))
+            count += 1
+        assert {(a, b) for _, a, b in seen} == {(a, b) for a in (0, 1) for b in (0, 1)}
+        assert any(two for two, _, _ in seen)
 
 
 class TestEmbed:
@@ -559,6 +613,25 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[-1] == "InvalidParams: need multiplicity a >= 2, got a=-5"
 
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--n=--", "--hgen", "4", "--rho", "1"],
+        ["glue", "--gens", "4,13,18", "--alpha=--", "--beta", "3"],
+        ["apery", "--gens", "4,13,18", "--m=--"],
+        ["verify", "--suite=--"],
+        ["verify", "--suite", "roundtrip", "--seed=--"],
+        ["poset", "--gens", "4,13,18", "--out=--"],
+    ])
+    def test_dash_dash_value_is_a_missing_value(self, capsys, argv):
+        # argparse drops a '--' given as --flag=--, which left the flag an empty list
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        flag = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+        assert (out, err.splitlines()[-1]) == (
+            "", f"kunzcone {argv[0]}: error: argument {flag}: expected one argument"
+        )
+
     @pytest.mark.parametrize("command", ["apery", "poset", "face", "glue"])
     def test_trivial_semigroup_is_one(self, capsys, command):
         extra = ["--alpha", "2", "--beta", "3"] if command == "glue" else []
@@ -819,6 +892,11 @@ class TestParseParity:
 
 
 class TestStartup:
+    def test_bare_import_loads_no_typing(self):
+        # -S: no site hooks, which may load typing on their own
+        script = "import sys, kunzcone.cli; print('typing' in sys.modules)"
+        assert fresh_python("-S", "-c", script) == (0, "False\n", "")
+
     def test_import_loads_no_dataclasses_inspect_or_fractions(self):
         # Fraction is imported on the first non-int coordinate entry, and
         # integral Fractions still collapse to int
