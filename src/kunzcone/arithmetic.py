@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import index
 
 from .cone import apply_automorphism, face_of
 from .errors import CheckFailed, InvalidParams, OutOfRegime
@@ -31,6 +32,7 @@ class EgaParams(_Record):
     _fields = ("a", "h", "k", "d")
 
     def __init__(self, a: int, h: int, k: int, d: int):
+        a, h, k, d = index(a), index(h), index(k), index(d)
         if a < 2:
             raise InvalidParams(f"need multiplicity a >= 2, got a={a}")
         if h < 1:
@@ -116,6 +118,7 @@ def ega_kunz_poset(a: int, k: int, d: int) -> KunzPoset:
     k+1 presented generators are minimal; non-minimal presentations gain
     extra relations and land on a smaller face.
     """
+    a, k, d = index(a), index(k), index(d)
     if a < 2 or not 1 <= k < a:
         raise InvalidParams(f"need 1 <= k < a and a >= 2, got a={a}, k={k}")
     if gcd(a, d) != 1:
@@ -138,6 +141,7 @@ def ega_frobenius(p: EgaParams) -> int:
 
 def ega_face_dimension(a: int, k: int) -> int:
     """Dimension of the face of C(Z_a) cut out by the family's tuples."""
+    a, k = index(a), index(k)
     if a < 2 or not 1 <= k < a:
         raise InvalidParams(f"need 1 <= k < a and a >= 2, got a={a}, k={k}")
     if k == a - 1:

@@ -162,11 +162,11 @@ class ConeFace:
 class _FaceSpan:
     """Span of a face's tight rows by substitution, as the module says: a
     stuck walk frees the least class left, which keeps the free columns few
-    (not n-1 when every class is reached) and the rank exact, as each pinned
-    class still follows both halves of its first pair.  The rows c fails
-    reach the echelon of R as the row walk meets them, unless y_a + y_w ==
-    y_{a+w} (``_values``) puts them in R; y is refreshed after each add, so
-    every add raises the rank."""
+    (the unreached classes, or class 1, and one per stuck cycle) and the
+    rank exact, as each pinned class still follows both halves of its first
+    pair.  The rows c fails reach the echelon of R as the row walk meets
+    them, unless y_a + y_w == y_{a+w} (``_values``) puts them in R; y is
+    refreshed after each add, so every add raises the rank."""
 
     def __init__(self, n: int, up: list[int]):
         known = (left := (1 << n) - 2) & ~reduce(or_, up, 0) or 2  # free: the unreached, or 1

@@ -10,6 +10,7 @@ implemented elsewhere in the package.
 from __future__ import annotations
 
 from math import gcd, inf
+from operator import index
 
 from .errors import (
     EmptyGenerators,
@@ -238,7 +239,7 @@ class NumericalSemigroup(_Record):
     _fields = ("generators",)
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
+        gens = sorted({index(g) for g in generators})
         if not gens:
             raise EmptyGenerators("at least one generator is required")
         if gens[0] <= 0:

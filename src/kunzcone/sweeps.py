@@ -30,7 +30,6 @@ from .gluing import (
     extend_poset,
     factor_monoscopic,
     glue,
-    glued_apery,
     glued_poset,
     verify_face_image,
 )
@@ -118,7 +117,6 @@ def _gluing(rng: random.Random, max_m: int, max_beta: int):
                     continue
                 try:
                     T = glue(spec)
-                    glued_apery(spec)
                     P = glued_poset(spec)
                 except CheckFailed:
                     P = None

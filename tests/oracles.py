@@ -410,7 +410,10 @@ class ReferenceEchelon:
     A pivot column maps to ``(d, tail)``: the row d*x_p + tail . x with
     d > 0, the gcd of d and the tail entries 1, and the tail only on
     non-pivot columns.  Rows are accepted dense (a sequence of ``width``
-    integers) or sparse (a mapping column -> coefficient).
+    integers) or sparse (a mapping column -> coefficient).  A row is
+    reduced in one pass, scaled once by the least multiplier that makes
+    each pivot entry it hits a multiple of that pivot's d; the package
+    clears one pivot at a time instead, so the two share no reduction.
     """
 
     def __init__(self, width):
@@ -487,7 +490,7 @@ class ReferenceEchelon:
 
 def _normalized_row(d, tail):
     """Scale (d, tail) so that d > 0 and the gcd of all entries is 1."""
-    g = d
+    g = abs(d)  # not d: with an empty tail, a negative d would be divided by -d, to -1
     for v in tail.values():
         g = gcd(g, v)
     if d < 0:

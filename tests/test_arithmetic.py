@@ -75,6 +75,13 @@ class TestParams:
         with pytest.raises(InvalidParams):
             EgaParams(1, 1, 1, 1)   # a < 2
 
+    def test_non_integral_params_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            ega_new(13, 1.5, 4, 1)
+        for args in [(13.0, 1, 4, 1), (13, 1, 4.0, 1), (13, 1, 4, "1")]:
+            with pytest.raises(TypeError):
+                EgaParams(*args)
+
 
 class TestMembership:
     def test_golden_values(self):
@@ -174,6 +181,11 @@ class TestKunzPoset:
         with pytest.raises(InvalidParams):
             ega_kunz_poset(4, 4, 1)
 
+    def test_non_integral_params_rejected(self):
+        for args in [(7.0, 2, 3), (7, 2.5, 3), (7, 2, 3.0)]:
+            with pytest.raises(TypeError, match="float"):
+                ega_kunz_poset(*args)
+
 
 class TestFrobenius:
     def test_goldens(self):
@@ -204,6 +216,12 @@ class TestFaceDimension:
     def test_guards(self):
         with pytest.raises(InvalidParams):
             ega_face_dimension(4, 0)
+
+    def test_non_integral_params_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            ega_face_dimension(5, 2.5)
+        with pytest.raises(TypeError, match="float"):
+            ega_face_dimension(13.0, 4)
 
 
 class TestRays:

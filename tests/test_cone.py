@@ -822,6 +822,26 @@ class TestIntegerEchelon:
                 assert ech.rank == ref.rank
                 assert ech.kernel() == _reference_kernel(ref)
 
+    def test_rows_match_reference(self):
+        # clearing one pivot at a time stores the rows that the reference's
+        # single pass, scaled once by an lcm, stores; pivots d > 1 are the
+        # case that scaling exists for, so they must be hit
+        rng = random.Random(227)
+        hits_past_one = 0
+        for _ in range(300):
+            width = rng.randint(1, 14)
+            density = rng.choice([0.2, 0.5, 1.0])
+            ech, ref = IntegerEchelon(width), ReferenceEchelon(width)
+            for _ in range(rng.randint(1, width + 3)):
+                row = [rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(width)]
+                if rng.random() < 0.5:
+                    row = {c: v for c, v in enumerate(row) if v or rng.random() < 0.2}
+                entries = row.items() if isinstance(row, dict) else enumerate(row)
+                hits_past_one += any(v % ech._rows[c][0] for c, v in entries if c in ech._rows)
+                assert ech.add(row) == ref.add(row)
+                assert ech._rows == ref.rows
+        assert hits_past_one > 500
+
     def test_width_checked(self):
         ech = IntegerEchelon(2)
         with pytest.raises(ValueError):

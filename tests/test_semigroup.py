@@ -72,6 +72,15 @@ class TestConstruction:
         with pytest.raises(EmptyGenerators):
             NumericalSemigroup([])
 
+    def test_non_integral_generators_rejected(self):
+        # read with operator.index: no float is truncated, no string parsed
+        with pytest.raises(TypeError, match="float"):
+            NumericalSemigroup([4.7, 13, 18])
+        with pytest.raises(TypeError, match="str"):
+            NumericalSemigroup(["4", "13", "18"])
+        with pytest.raises(TypeError):
+            NumericalSemigroup([Fraction(4), 13, 18])
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             NumericalSemigroup([0, 3])
