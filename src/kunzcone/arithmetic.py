@@ -1,11 +1,11 @@
 """Closed forms for arithmetic-like semigroups <a, ah+d, ah+2d, ..., ah+kd>.
 
 The family (here "EGA", extra-generalized arithmetical) admits exact
-formulas for membership, the Apery set (a rectangular grid), the Kunz
-poset, the Frobenius number, and the dimension and extremal rays of the
-face its Kunz tuples populate.  Everything is validated on the fly
-against cheap structural invariants; the heavyweight oracle checks live
-in the test suite.
+formulas for the Apery set (a rectangular grid, whose closed form also
+gives the class table behind membership), the Kunz poset, the Frobenius
+number, and the dimension and extremal rays of the face its Kunz tuples
+populate.  Everything is validated on the fly against cheap structural
+invariants; the heavyweight oracle checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class EgaParams(_Record):
 
     The last condition keeps a the multiplicity and the generating set
     minimal; d may be negative (the generator run then descends).  The
-    inverse of d mod a is computed once here for ``ega_contains``; it is
-    not a field, so it takes no part in repr, equality or hashing.
+    Apery table ``ega_contains`` reads is built here in O(a) from the closed
+    form; it is not a field, so it takes no part in repr, equality or hashing.
     """
 
     _fields = ("a", "h", "k", "d")
@@ -43,7 +43,10 @@ class EgaParams(_Record):
             raise InvalidParams(f"need gcd(a, d) = 1 and d != 0, got a={a}, d={d}")
         if a * h + k * d <= a:
             raise InvalidParams(f"need ah + kd > a so the multiplicity is a, got {a * h + k * d}")
-        vars(self).update(a=a, h=h, k=k, d=d, _d_inv=pow(d, -1, a))
+        apery = [0] * a
+        for r in range(1, a):  # class r*d mod a holds r*d + a*h*ceil(r/k)
+            apery[r * d % a] = r * d - (-r // k) * a * h
+        vars(self).update(a=a, h=h, k=k, d=d, _apery=tuple(apery))
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -82,13 +85,10 @@ def ega_is_minimal(p: EgaParams) -> bool:
 
 
 def ega_contains(p: EgaParams, n: int) -> bool:
-    """Closed-form membership: with r in [0, a-1] such that r*d = n mod a
-    and q = (n - r*d)/a, n lies in the semigroup iff ceil(r/k)*h <= q
-    (which gives q >= 0 too, as r >= 0 and h, k >= 1)."""
-    a = p.a
-    r = n * p._d_inv % a
-    q = (n - r * p.d) // a
-    return -(-r // p.k) * p.h <= q
+    """Membership as in ``NumericalSemigroup.contains``: n is in the semigroup
+    iff it is at least the Apery table's entry for its class mod a."""
+    table = p._apery
+    return n >= table[n % len(table)]
 
 
 def ega_apery_grid(p: EgaParams) -> list[tuple[GridCoord, int]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from math import gcd
-from operator import or_
+from operator import index, or_
 
 from .errors import InconsistentFace, NotAUnit, NotInCone
 from .linalg import IntegerEchelon
@@ -51,13 +51,12 @@ class ConeFace:
     """
 
     def __init__(self, modulus: int, tight):
-        if modulus < 2:
+        n = index(modulus)
+        if n < 2:
             raise ValueError("modulus must be at least 2")
-        n = modulus
         up = [0] * n
         for i, j in tight:
-            i %= n
-            j %= n
+            i, j = index(i) % n, index(j) % n
             t = (i + j) % n
             if i == 0 or j == 0 or t == 0:
                 raise ValueError(f"({i},{j}) does not index a facet of C(Z_{n})")

@@ -41,7 +41,7 @@ def apery_by_class(generators, modulus: int) -> list[int]:
     skipped, and the rest must have gcd 1 with the modulus so that every
     class is reachable.
     """
-    if modulus < 1:
+    if (modulus := index(modulus)) < 1:
         raise ValueError("modulus must be positive")
     # sized before the closure, so that an absurd modulus fails here at once
     dist: list[int | None] = [None] * modulus
@@ -191,11 +191,13 @@ class CoordTuple(_Record):
     _fields = ("modulus", "kind", "entries")
 
     def __init__(self, modulus: int, kind: str, entries: tuple):
-        if modulus < 2:
+        if (modulus := index(modulus)) < 2:
             raise ValueError("modulus must be at least 2")
         if kind not in (APERY, KUNZ):
             raise ValueError(f"kind must be {APERY!r} or {KUNZ!r}")
-        entries = tuple(_exact(v) for v in entries)
+        entries = tuple(entries)
+        if not {*map(type, entries)} <= {int}:  # one C-level test for the usual all-int tuple
+            entries = tuple(map(_exact, entries))
         if len(entries) != modulus:
             raise ValueError("need exactly one entry per residue class")
         if entries[0] != 0:
@@ -275,7 +277,7 @@ class NumericalSemigroup(_Record):
 
     def _apery_values(self, m: int) -> list[int]:
         """Least element per class mod m, indexed by residue; m must be in S."""
-        if m <= 0 or not self.contains(m):
+        if (m := index(m)) <= 0 or not self.contains(m):
             raise NotAnElement(f"{m} is not a positive element of {self}")
         if m == self.multiplicity:
             return list(self._apery_mult)

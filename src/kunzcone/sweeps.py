@@ -84,10 +84,7 @@ def _ega(rng: random.Random, max_m: int, max_beta: int):
         x = S.coordinates(p.a, APERY)
         dist = x.entries
         yield ega_frobenius(p) == max(dist) - p.a, "frobenius" + tag, p
-        ok = all(
-            ega_contains(p, dist[c]) and (dist[c] < p.a or not ega_contains(p, dist[c] - p.a))
-            for c in range(p.a)
-        )
+        ok = all(ega_contains(p, v) and not ega_contains(p, v - p.a) for v in dist)
         yield ok, "membership boundary" + tag, p
         yield ega_kunz_poset(p.a, p.k, p.d) == kunz_poset_of(S, p.a), "grid poset" + tag, p
         yield ega_face_dimension(p.a, p.k) == face_of(x).dimension, "face dimension" + tag, p

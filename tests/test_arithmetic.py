@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -26,6 +27,7 @@ from kunzcone import (
     face_of,
     kunz_poset_of,
 )
+from kunzcone.sweeps import iter_ega_params
 from oracles import dp_frobenius, dp_members, is_chain
 
 
@@ -98,12 +100,31 @@ class TestMembership:
         assert not ega_contains(p, -13)
 
     def test_against_dp_table(self):
-        for args in [(13, 1, 4, 1), (11, 2, 5, -2), (7, 3, 2, -3), (2, 1, 1, 1)]:
-            p, S = ega_new(*args)
+        # four picked tuples, then every tuple the ega verify suite walks
+        sweep = list(iter_ega_params(10, 2))
+        assert len(sweep) == 448
+        picked = [(13, 1, 4, 1), (11, 2, 5, -2), (7, 3, 2, -3), (2, 1, 1, 1)]
+        for p in [ega_new(*args)[0] for args in picked] + sweep:
             limit = ega_frobenius(p) + 2 * p.a + 1
             table = dp_members(sorted(p.generators), limit)
             for n in range(-3 * p.a, limit + 1):
-                assert ega_contains(p, n) == (n >= 0 and table[n]), (args, n)
+                assert ega_contains(p, n) == (n >= 0 and table[n]), (p, n)
+
+    def test_non_integral_n_rejected(self):
+        # as S.contains: the class index of a float is a float
+        p = EgaParams(13, 1, 4, 1)
+        with pytest.raises(TypeError):
+            ega_contains(p, 26.0)
+        with pytest.raises(TypeError):
+            NumericalSemigroup(p.generators).contains(26.0)
+
+    def test_table_is_the_closure_table(self):
+        # the closed-form table equals the one the bitset closure finds, and copies keep it
+        for p in iter_ega_params(10, 2):
+            assert p._apery == NumericalSemigroup(p.generators)._apery_mult, p
+        p = EgaParams(11, 2, 5, -2)
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone._apery == p._apery == (0, 12, 24, 14, 26, 16, 28, 18, 30, 20, 32)
 
 
 class TestAperyGrid:

@@ -123,6 +123,12 @@ class TestConeFace:
         with pytest.raises(ValueError):
             ConeFace(1, [])
 
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            ConeFace(4.0, [(1, 2)])
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            ConeFace(6, [(1.0, 3)])
+
     def test_equality_and_hash(self):
         a = ConeFace(4, [(1, 2)])
         b = ConeFace(4, [(2, 1)])

@@ -181,6 +181,15 @@ class TestApery:
         with pytest.raises(ValueError, match="^modulus must be positive$"):
             apery_by_class([1], 0)
 
+    def test_non_integral_modulus_rejected(self):
+        # each entry point reads its modulus with operator.index, so the
+        # TypeError is its own, not one from deeper in the code
+        S = NumericalSemigroup([4, 13, 18])
+        for call in (lambda: apery_by_class([4, 13, 18], 4.0), lambda: S.apery_set(8.0),
+                     lambda: S.coordinates(4.0), lambda: S.coordinates(Fraction(4), KUNZ)):
+            with pytest.raises(TypeError, match="object cannot be interpreted as an integer$"):
+                call()
+
     def test_negative_generator_rejected(self):
         # a negative arc once made the old heap walk cycle for ever
         with pytest.raises(ValueError, match="^generators must be non-negative, got -1$"):
@@ -358,6 +367,21 @@ class TestCoordTuple:
     def test_modulus_floor(self):
         with pytest.raises(ValueError, match="^modulus must be at least 2$"):
             CoordTuple(1, APERY, (0,))
+
+    def test_non_integral_modulus_rejected(self):
+        for modulus in (4.0, Fraction(4), "4"):
+            with pytest.raises(TypeError, match="object cannot be interpreted as an integer$"):
+                CoordTuple(modulus, APERY, (0, 13, 18, 31))
+
+    def test_entry_intake(self):
+        # all-int tuples take the one-test path; any other entry goes through _exact
+        x = CoordTuple(4, APERY, iter([0, 13, 18, 31]))
+        assert x.entries == (0, 13, 18, 31) and x.to_json_dict()["modulus"] == 4
+        y = CoordTuple(3, KUNZ, [0, Fraction(4, 2), True])
+        assert y.entries == (0, 2, True) and type(y.entries[1]) is int
+        for bad, name in ((1.0, "float"), ("1", "str"), (None, "NoneType")):
+            with pytest.raises(TypeError, match=f"^entries must be int or Fraction, got {name}$"):
+                CoordTuple(3, APERY, (0, 1, bad))
 
     def test_bad_coordinates_kind(self):
         with pytest.raises(ValueError, match="^kind must be 'apery' or 'kunz'$"):
@@ -628,7 +652,7 @@ RECORDS = [
         EgaParams(5, 3, 3, -3),
         "EgaParams(a=5, h=3, k=3, d=-3)",
         {"a": 5, "h": 3, "k": 3, "d": -3},
-        "_d_inv",
+        "_apery",
     ),
     (
         GluingSpec(NumericalSemigroup([4, 13, 18]), 31, 3),
