@@ -67,8 +67,8 @@ class ConeFace:
     @classmethod
     def _from_rows(cls, modulus: int, up: list[int], trusted: bool) -> "ConeFace":
         """As ``__init__`` from the rows up[a] themselves, unchecked."""
-        self = cls(modulus, ())
-        self._up, self._trusted = up, trusted
+        self = cls.__new__(cls)
+        self.modulus, self._up, self._trusted = modulus, up, trusted
         return self
 
     @property

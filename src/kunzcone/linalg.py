@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from math import gcd, lcm
+from operator import index
 
 
 class IntegerEchelon:
@@ -33,7 +34,7 @@ class IntegerEchelon:
     """
 
     def __init__(self, width: int):
-        if width < 1:
+        if (width := index(width)) < 1:
             raise ValueError("width must be positive")
         self.width = width
         # pivot column -> (positive pivot entry, {non-pivot column: entry})

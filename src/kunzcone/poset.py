@@ -10,6 +10,7 @@ Construction checks the order by two of them that also yield the covers
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .errors import NotGraded
 from .semigroup import APERY, NumericalSemigroup, _facet_scan
@@ -128,7 +129,7 @@ class KunzPoset:
             for i in range(size):
                 self._raise_first(i)
         try:
-            self.labels = None if labels is None else tuple(int(labels[g]) for g in self.ground)
+            self.labels = None if labels is None else tuple(index(labels[g]) for g in self.ground)
         except (IndexError, KeyError) as exc:
             # classes run up from 0, so a short sequence first lacks class len(labels)
             missing = exc.args[0] if isinstance(exc, KeyError) else len(labels)

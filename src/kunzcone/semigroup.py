@@ -308,7 +308,7 @@ class NumericalSemigroup(_Record):
 
 
 def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
-    """Reconstruct the semigroup with Kunz tuple ``entries`` over Z_m.
+    """The semigroup with Kunz tuple ``entries`` (z_1..z_{m-1}, or a CoordTuple) over Z_m.
 
     The tuple must be non-negative (forced by the inequalities below for
     m >= 3, not for m = 2, which has none) and satisfy z_i + z_j >= z_{i+j}
@@ -320,24 +320,16 @@ def from_kunz_tuple(m: int, entries) -> NumericalSemigroup:
     a_s - m is in it, which its own membership table decides.
     ``_facet_scan`` runs only on a rejection, to name the violated facet.
     """
-    if isinstance(entries, CoordTuple):
-        if entries.kind != KUNZ:
-            raise ValueError("expected a Kunz-kind tuple")
-        if entries.modulus != m:
-            raise ValueError("modulus mismatch")
-        raw = entries.entries[1:]  # already normalized by CoordTuple
-    else:
-        raw = map(_exact, entries)
-    z = []
-    for v in raw:
+    m = index(m)
+    x = entries if isinstance(entries, CoordTuple) else CoordTuple(m, KUNZ, (0, *entries))
+    if x.kind != KUNZ:
+        raise ValueError("expected a Kunz-kind tuple")
+    if x.modulus != m:
+        raise ValueError("modulus mismatch")
+    full = x.entries
+    for v in full:
         if not isinstance(v, int):
             raise ValueError(f"Kunz coordinates must be integers, got {v}")
-        z.append(v)
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if len(z) != m - 1:
-        raise ValueError(f"need {m - 1} coordinates for modulus {m}, got {len(z)}")
-    full = [0] + z
     for i in range(1, m):
         if full[i] < 0:
             raise NotInPolyhedron(f"z_{i} = {full[i]} is negative")

@@ -855,6 +855,14 @@ class TestIntegerEchelon:
         with pytest.raises(ValueError):
             IntegerEchelon(0)
 
+    @pytest.mark.parametrize("width", [2.0, "3", Fraction(2)])
+    def test_non_integral_width_rejected(self, width):
+        # the width is read with index() where it enters, not later in kernel()
+        with pytest.raises(TypeError):
+            IntegerEchelon(width)
+        with pytest.raises(TypeError):
+            integer_rank([[1, 0], [0, 1]], width)
+
     def test_rank_matches_numpy(self):
         numpy = pytest.importorskip("numpy")
         rng = random.Random(79)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,12 @@ class TestConstructorValidation:
     def test_label_dict_missing_a_class(self):
         with pytest.raises(ValueError, match="labels give no value for class 3"):
             KunzPoset(4, [(1, 2)], labels={0: 0, 1: 5, 2: 10})
+
+    @pytest.mark.parametrize("labels", [[0, 2.7, 5, 6], ["0", "13", "18", "31"], [0, Fraction(13), 18, 31]])
+    def test_non_integral_labels_rejected(self, labels):
+        # read with index(): no float is truncated and no string is parsed
+        with pytest.raises(TypeError):
+            KunzPoset(4, [(1, 2)], labels=labels)
 
     def test_pairs_reduce_mod_n(self):
         P = KunzPoset(3, [(4, 5)])

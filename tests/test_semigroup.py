@@ -12,6 +12,7 @@ from kunzcone import (
     APERY,
     KUNZ,
     CoordTuple,
+    DomainError,
     EgaParams,
     EmptyGenerators,
     GluingSpec,
@@ -400,10 +401,28 @@ class TestCoordTuple:
         assert d["entries"] == [0, 1, "1/2"]
 
 
+def _both_intakes(m, z):
+    """``from_kunz_tuple`` on the raw tuple z and on CoordTuple(m, KUNZ, (0, *z)):
+    the two must give the same semigroup, or raise the same exception type
+    with the same text, which is then raised again."""
+    outcomes = []
+    for entries in (lambda: z, lambda: CoordTuple(m, KUNZ, (0, *z))):
+        try:
+            outcomes.append(from_kunz_tuple(m, entries()))
+        except (TypeError, ValueError, DomainError) as exc:
+            outcomes.append(exc)
+    raw, wrapped = outcomes
+    if isinstance(raw, Exception):
+        assert (type(wrapped), str(wrapped)) == (type(raw), str(raw))
+        raise raw
+    assert type(wrapped) is NumericalSemigroup and wrapped == raw
+    return raw
+
+
 class TestKunzRoundTrip:
     def test_golden(self):
         S = NumericalSemigroup([4, 13, 18])
-        assert from_kunz_tuple(4, (3, 4, 7)) == S
+        assert _both_intakes(4, (3, 4, 7)) == S
 
     def test_accepts_coord_tuple(self):
         S = NumericalSemigroup([5, 7, 9])
@@ -417,7 +436,7 @@ class TestKunzRoundTrip:
                 continue
             m = gens[0]
             S = NumericalSemigroup(gens)
-            assert from_kunz_tuple(m, S.coordinates(m, KUNZ)) == S
+            assert _both_intakes(m, S.coordinates(m, KUNZ).entries[1:]) == S
 
     def test_round_trip_modulus_above_multiplicity(self):
         # m in S but not its multiplicity: the Kunz tuple has zero entries
@@ -435,7 +454,7 @@ class TestKunzRoundTrip:
             S = NumericalSemigroup(gens)
             z = S.coordinates(m, KUNZ)
             assert z[gens[0]] == 0
-            assert from_kunz_tuple(m, z).generators == tuple(dp_minimal_generators(gens))
+            assert _both_intakes(m, z.entries[1:]).generators == tuple(dp_minimal_generators(gens))
             cases += 1
 
     def test_no_apery_closure_at_the_second_generator(self, monkeypatch):
@@ -459,7 +478,7 @@ class TestKunzRoundTrip:
 
         monkeypatch.setattr(semigroup, "apery_by_class", counting)
         for S, m, z in trips:
-            assert from_kunz_tuple(m, z) == S
+            assert _both_intakes(m, z.entries[1:]) == S
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -476,34 +495,43 @@ class TestKunzRoundTrip:
     def test_violation_messages(self, m, z, message):
         # the first violated facet in scan order is the one named
         with pytest.raises(NotInPolyhedron) as exc:
-            from_kunz_tuple(m, z)
+            _both_intakes(m, z)
         assert str(exc.value) == message
 
     def test_inequality_violation_rejected(self):
         # z_1 + z_1 >= z_2 fails: 1 + 1 < 3
         with pytest.raises(NotInPolyhedron):
-            from_kunz_tuple(3, (1, 3))
+            _both_intakes(3, (1, 3))
 
     def test_wraparound_violation_rejected(self):
         # z_2 + z_2 + 1 >= z_1 fails: 1 + 1 + 1 < 4
         with pytest.raises(NotInPolyhedron):
-            from_kunz_tuple(3, (4, 1))
+            _both_intakes(3, (4, 1))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NotInPolyhedron):
-            from_kunz_tuple(2, (-1,))
+            _both_intakes(2, (-1,))
 
     def test_m2_floor(self):
-        assert from_kunz_tuple(2, (1,)) == NumericalSemigroup([2, 3])
-        assert from_kunz_tuple(2, (0,)) == NumericalSemigroup([1])
+        assert _both_intakes(2, (1,)) == NumericalSemigroup([2, 3])
+        assert _both_intakes(2, (0,)) == NumericalSemigroup([1])
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            from_kunz_tuple(4, (0, 3, 4, 7))
+        with pytest.raises(ValueError, match="^need exactly one entry per residue class$"):
+            _both_intakes(4, (0, 3, 4, 7))
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            from_kunz_tuple(3, (Fraction(1, 2), 1))
+        with pytest.raises(ValueError, match="^Kunz coordinates must be integers, got 1/2$"):
+            _both_intakes(3, (Fraction(1, 2), 1))
+        # an integral Fraction is read as its int
+        assert _both_intakes(3, (Fraction(2), 1)) == NumericalSemigroup([3, 7, 5])
+
+    def test_non_integral_input_types(self):
+        # a float modulus or entry is a TypeError through either intake
+        for m, z in [(4, (3, 4.0, 7)), (4.0, (3, 4, 7)), (4, ("3", 4, 7))]:
+            with pytest.raises(TypeError):
+                _both_intakes(m, z)
+        assert from_kunz_tuple(4, iter((3, 4, 7))) == NumericalSemigroup([4, 13, 18])
 
     def test_wrong_kind_rejected(self):
         S = NumericalSemigroup([4, 13, 18])
@@ -512,7 +540,10 @@ class TestKunzRoundTrip:
 
     def test_modulus_checked(self):
         with pytest.raises(ValueError, match="^modulus must be at least 2$"):
-            from_kunz_tuple(1, [])
+            _both_intakes(1, ())
+        # the modulus is checked before the entries are
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            _both_intakes(1, (Fraction(1, 2),))
         with pytest.raises(ValueError, match="^modulus mismatch$"):
             from_kunz_tuple(5, NumericalSemigroup([4, 13, 18]).coordinates(4, KUNZ))
 
