@@ -14,7 +14,6 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .arithmetic import (
-    EgaParams,
     ega_detect,
     ega_face_dimension,
     ega_frobenius,

@@ -141,9 +141,9 @@ def _walk(gens: list[int], modulus: int, table: list) -> list[int]:
 
 
 def _exact(value):
-    """Collapse integral Fractions to int; leave ints and proper Fractions."""
+    """Read ints (bools too) and integral Fractions as plain ints; leave proper Fractions."""
     if isinstance(value, int):
-        return value
+        return index(value)
     from fractions import Fraction  # imported here: no library path builds one
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value

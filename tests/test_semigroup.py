@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import time
@@ -383,6 +384,13 @@ class TestCoordTuple:
         for bad, name in ((1.0, "float"), ("1", "str"), (None, "NoneType")):
             with pytest.raises(TypeError, match=f"^entries must be int or Fraction, got {name}$"):
                 CoordTuple(3, APERY, (0, 1, bad))
+
+    def test_bool_entry_read_as_int(self):
+        x = CoordTuple(3, KUNZ, (0, True, 1))
+        assert [type(v) for v in x.entries] == [int, int, int]
+        assert repr(x) == "CoordTuple(modulus=3, kind='kunz', entries=(0, 1, 1))"
+        assert json.dumps(x.to_json_dict()) == '{"modulus": 3, "kind": "kunz", "entries": [0, 1, 1]}'
+        assert x == CoordTuple(3, KUNZ, (0, 1, 1))
 
     def test_bad_coordinates_kind(self):
         with pytest.raises(ValueError, match="^kind must be 'apery' or 'kunz'$"):
